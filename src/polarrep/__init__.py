@@ -52,7 +52,7 @@ from .patterns import (
     regular_family,
     validate_kernel,
 )
-from .poly import EPS, Poly, Rational, SturmSequence, count_roots_in
+from .poly import EPS, Poly, SturmSequence, count_roots_in
 from .proofcheck import (
     GainCertificate,
     certify_difference,

@@ -32,7 +32,6 @@ from .effective_channels import (
     assignment_erasures,
     coded_repetition_scheme,
     reference_expression_set,
-    regular_block_erasures,
 )
 from .patterns import PatternAssignment, family_by_name, kernel_ref, regular_family
 from .poly import EPS, Poly
@@ -153,10 +152,8 @@ def cmd_prove(args) -> int:
     for t in args.t or []:
         cert = certify_gain(t, sample=args.sample)
         entry = {"kind": "gain", "t": t, **cert.to_json_dict()}
-        total = Poly.zero()
-        for z in regular_block_erasures(0, t):
-            total = total + z
-        r_eps = EPS.scale(1 << t)
+        r_eps = EPS.scale(cert.r)
+        total = cert.difference_poly + r_eps
         entry["curve"] = _eval_table({"sum_erasure": total, "r_eps": r_eps}, grid)
         certificates.append(entry)
         all_certified &= cert.certified

@@ -10,6 +10,11 @@ Messages live in {0, 1, erased}: a check combine erases if either input is
 erased (else XOR), a variable combine erases only if all inputs are erased
 (conflicting known values are impossible over an erasure channel).
 
+That schedule is written once, in ``_walk``; what a combine does to a
+message comes from one of three op sets: ``_Values`` for ``sc_decode``,
+``_Flags`` for ``erasure_flow`` and ``_Tally`` for
+``decode_operation_count``, so the three cannot drift apart.
+
 Because erasure propagation does not depend on the transmitted values, the
 per-bit behavior of this decoder is a deterministic function of the erasure
 pattern.  ``erasure_flow`` evaluates that function for whole batches of
@@ -21,21 +26,30 @@ analysis in :mod:`polarrep.effective_channels` is compared against.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .channel_algebra import standard_synthetic_channel
 from .effective_channels import EffectiveChannelSet, assignment_erasures
-from .patterns import Kernel, PatternAssignment, PatternFamily, apply_kernel
+from .patterns import (
+    Kernel,
+    Matrix,
+    PatternAssignment,
+    PatternFamily,
+    apply_kernel,
+    split_kernel,
+)
 from .poly import EPS, Poly
 
-Matrix = tuple[tuple[int, ...], ...]
-
 #: Full enumeration of 2**N erasure patterns stays cheap up to this length.
-ORACLE_MAX_BITS = 24
+#: Total lengths r * 2**m are powers of two, so the next length, 32, is the
+#: first one refused.
+ORACLE_MAX_BITS = 16
 
 
 class DecodeFailure(Exception):
@@ -209,6 +223,52 @@ def encode(spec: CodeSpec, info_bits: Sequence[int]) -> list[tuple[int, ...]]:
     return [apply_kernel(kern, subwords) for kern in spec.kernels()]
 
 
+# -- the kernel-tree carrier walk --------------------------------------------
+
+def _walk(carriers: list[tuple[Matrix, Any]], ops: Any, first: int = 0) -> list:
+    """Successive-cancellation schedule over the kernel tree.
+
+    Each carrier is (kernel rows, message) for a block or a leg derived from
+    one, over the sub-codewords ``first``, ``first + 1``, ...; a message has
+    one row per kernel position along its first axis.  ``ops`` supplies
+    ``merge`` (variable combine), ``check`` (check combine with a partner
+    estimate), ``cancel`` (interference removal given the decoded earlier
+    half) and ``leaf`` (inner decoding).  Returns one leaf result per
+    sub-codeword, in order.
+    """
+    size = len(carriers[0][0])
+    if size == 1:
+        return [ops.leaf(ops.merge([msg for _, msg in carriers]), first)]
+    h = size // 2
+    splits = [(split_kernel(rows), msg) for rows, msg in carriers]
+
+    # Partner estimates: one per distinct bottom kernel, from every carrier
+    # whose bottom kernel matches.
+    estimates: dict[Matrix, Any] = {}
+    for (e, _, b), _msg in splits:
+        if e and b not in estimates:
+            estimates[b] = ops.merge([msg[h:] for (_, _, bb), msg in splits if bb == b])
+
+    earlier = [
+        (a, ops.check(msg[:h], estimates[b]) if e else msg[:h])
+        for (e, a, b), msg in splits
+    ]
+    known = _walk(earlier, ops, first)
+    later = []
+    for (e, a, b), msg in splits:
+        later.append((b, msg[h:]))
+        if e:
+            later.append((b, ops.cancel(msg[:h], a, known)))
+    return known + _walk(later, ops, first + h)
+
+
+def _carriers(spec: CodeSpec, rows: Any) -> list[tuple[Matrix, Any]]:
+    """Pair each block's kernel with its r message rows (block b owns rows
+    b*r to b*r + r - 1 of ``rows``)."""
+    r = spec.r
+    return [(kern.rows, rows[b * r : (b + 1) * r]) for b, kern in enumerate(spec.kernels())]
+
+
 # -- value-level SC decoding ------------------------------------------------
 
 def _combine_check(a: int | None, b: int | None) -> int | None:
@@ -221,18 +281,6 @@ def _combine_first(values: Iterable[int | None]) -> int | None:
         if v is not None:
             return v
     return None
-
-
-def _split_rows(rows: Matrix) -> tuple[int, Matrix, Matrix]:
-    h = len(rows) // 2
-    a = tuple(row[:h] for row in rows[:h])
-    b = tuple(row[h:] for row in rows[h:])
-    c = tuple(row[:h] for row in rows[h:])
-    if c == tuple((0,) * h for _ in range(h)):
-        return 0, a, b
-    if c == b:
-        return 1, a, b
-    raise ValueError("kernel is not block-structured as [[A,0],[e*B,B]]")
 
 
 def _inner_sc(
@@ -256,90 +304,31 @@ def _inner_sc(
     return u_left + u_right, [a ^ b for a, b in zip(x_left, x_right)] + x_right
 
 
-def _outer_decode(
-    carriers: list[tuple[Matrix, list[list[int | None]]]],
-    frozen: set[int],
-    bit_offset: int,
-    inner_len: int,
-) -> tuple[list[int], list[list[int]]]:
-    """Decode a group of sub-codewords from carrier messages.
+class _Values:
+    """Messages are rows of symbols in {0, 1, None}; a leaf yields the
+    decoded u-bits and the re-encoded sub-codeword, which ``cancel`` needs."""
 
-    Each carrier is (kernel rows, per-position message rows); returns the
-    decoded u-bits and the re-encoded sub-codeword vectors, which callers
-    need for interference subtraction.
-    """
-    size = len(carriers[0][0])
-    if size == 1:
-        eff = [
-            _combine_first(rowset[0][col] for _, rowset in carriers)
-            for col in range(inner_len)
-        ]
-        u_hat, x_hat = _inner_sc(eff, frozen, bit_offset)
-        return u_hat, [x_hat]
+    def __init__(self, frozen: set[int], width: int):
+        self.frozen = frozen
+        self.width = width
 
-    splits = [_split_rows(rows) for rows, _ in carriers]
-    h = size // 2
+    def merge(self, msgs):
+        return [[_combine_first(col) for col in zip(*rows)] for rows in zip(*msgs)]
 
-    # Partner estimates: one per distinct bottom kernel, from every carrier
-    # whose bottom kernel matches.
-    estimates: dict[Matrix, list[list[int | None]]] = {}
-    for (e, _, b), _carrier in zip(splits, carriers):
-        if e and b not in estimates:
-            members = [
-                rowset for (_, _, bb), (_, rowset) in zip(splits, carriers) if bb == b
-            ]
-            estimates[b] = [
-                [
-                    _combine_first(m[h + p][col] for m in members)
-                    for col in range(inner_len)
-                ]
-                for p in range(h)
-            ]
+    def check(self, msg, estimate):
+        return [list(map(_combine_check, x, y)) for x, y in zip(msg, estimate)]
 
-    first_carriers = []
-    for (e, a, b), (_, rowset) in zip(splits, carriers):
-        if e:
-            est = estimates[b]
-            rows = [
-                [
-                    _combine_check(rowset[p][col], est[p][col])
-                    for col in range(inner_len)
-                ]
-                for p in range(h)
-            ]
-        else:
-            rows = [rowset[p] for p in range(h)]
-        first_carriers.append((a, rows))
-    u_first, x_first = _outer_decode(first_carriers, frozen, bit_offset, inner_len)
+    def cancel(self, msg, a: Matrix, known):
+        out = []
+        for p, row in enumerate(msg):
+            for q, arow in enumerate(a):
+                if arow[p]:
+                    row = [None if v is None else v ^ x for v, x in zip(row, known[q][1])]
+            out.append(row)
+        return out
 
-    second_carriers = []
-    for (e, a, b), (_, rowset) in zip(splits, carriers):
-        second_carriers.append((b, [rowset[h + p] for p in range(h)]))
-        if e:
-            cancelled = [
-                [
-                    None
-                    if rowset[p][col] is None
-                    else rowset[p][col] ^ _known_combination(a, x_first, p, col)
-                    for col in range(inner_len)
-                ]
-                for p in range(h)
-            ]
-            second_carriers.append((b, cancelled))
-    u_second, x_second = _outer_decode(
-        second_carriers, frozen, bit_offset + h * inner_len, inner_len
-    )
-    return u_first + u_second, x_first + x_second
-
-
-def _known_combination(
-    a: Matrix, subwords: list[list[int]], p: int, col: int
-) -> int:
-    acc = 0
-    for q, row in enumerate(a):
-        if row[p]:
-            acc ^= subwords[q][col]
-    return acc
+    def leaf(self, msg, j: int):
+        return _inner_sc(msg[0], self.frozen, j * self.width)
 
 
 def sc_decode(spec: CodeSpec, received: Sequence[int | None]) -> list[int]:
@@ -352,12 +341,9 @@ def sc_decode(spec: CodeSpec, received: Sequence[int | None]) -> list[int]:
     if len(received) != spec.total_len:
         raise ValueError(f"expected {spec.total_len} symbols, got {len(received)}")
     width = spec.inner_len
-    carriers = []
-    for b, kern in enumerate(spec.kernels()):
-        block = received[b * spec.n : (b + 1) * spec.n]
-        rows = [list(block[p * width : (p + 1) * width]) for p in range(spec.r)]
-        carriers.append((kern.rows, rows))
-    u_hat, _ = _outer_decode(carriers, set(spec.frozen), 0, width)
+    rows = [list(received[i : i + width]) for i in range(0, spec.total_len, width)]
+    leaves = _walk(_carriers(spec, rows), _Values(set(spec.frozen), width))
+    u_hat = [bit for u, _ in leaves for bit in u]
     return [u_hat[i] for i in spec.info_positions]
 
 
@@ -372,34 +358,22 @@ def _inner_flags(msgs: np.ndarray) -> list[np.ndarray]:
     return first + second
 
 
-def _outer_flags(carriers: list[tuple[Matrix, np.ndarray]]) -> list[np.ndarray]:
-    size = len(carriers[0][0])
-    if size == 1:
-        eff = carriers[0][1][:, 0, :]
-        for _, arr in carriers[1:]:
-            eff = eff & arr[:, 0, :]
-        return _inner_flags(eff)
+class _Flags:
+    """Messages are boolean erasure masks, rows first, then (batch, width);
+    values are never needed because erasure propagation does not depend on
+    them, so interference removal leaves a mask unchanged."""
 
-    splits = [_split_rows(rows) for rows, _ in carriers]
-    h = size // 2
-    estimates: dict[Matrix, np.ndarray] = {}
-    for (e, _, b), _arr in zip(splits, carriers):
-        if e and b not in estimates:
-            est = None
-            for (_, _, bb), (_, arr) in zip(splits, carriers):
-                if bb == b:
-                    est = arr[:, h:, :] if est is None else est & arr[:, h:, :]
-            estimates[b] = est
+    def merge(self, msgs):
+        return functools.reduce(operator.and_, msgs)
 
-    first_carriers = []
-    second_carriers = []
-    for (e, a, b), (_, arr) in zip(splits, carriers):
-        top, bottom = arr[:, :h, :], arr[:, h:, :]
-        first_carriers.append((a, top | estimates[b] if e else top))
-        second_carriers.append((b, bottom))
-        if e:
-            second_carriers.append((b, top))
-    return _outer_flags(first_carriers) + _outer_flags(second_carriers)
+    def check(self, msg, estimate):
+        return msg | estimate
+
+    def cancel(self, msg, a: Matrix, known):
+        return msg
+
+    def leaf(self, msg, j: int):
+        return _inner_flags(msg[0])
 
 
 def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
@@ -413,43 +387,43 @@ def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
     batch, n_sym = erased.shape
     if n_sym != spec.total_len:
         raise ValueError(f"expected {spec.total_len} symbols, got {n_sym}")
-    width = spec.inner_len
-    carriers = []
-    for b, kern in enumerate(spec.kernels()):
-        block = erased[:, b * spec.n : (b + 1) * spec.n]
-        carriers.append((kern.rows, block.reshape(batch, spec.r, width)))
-    flags = _outer_flags(carriers)
-    return np.stack(flags, axis=1)
+    rows = erased.reshape(batch, -1, spec.inner_len).transpose(1, 0, 2)
+    leaves = _walk(_carriers(spec, rows), _Flags())
+    return np.stack([f for leaf in leaves for f in leaf], axis=1)
+
+
+# -- operation count ---------------------------------------------------------
+
+class _Tally:
+    """Messages are row ranges (only their lengths matter); every combine
+    adds its symbol-level operation count to ``ops``."""
+
+    def __init__(self, spec: CodeSpec):
+        self.width = spec.inner_len
+        self.inner_ops = spec.inner_len * (spec.m - spec.t)
+        self.ops = 0
+
+    def merge(self, msgs):
+        self.ops += (len(msgs) - 1) * len(msgs[0]) * self.width
+        return msgs[0]
+
+    def check(self, msg, estimate):
+        self.ops += len(msg) * self.width
+        return msg
+
+    def cancel(self, msg, a: Matrix, known):
+        self.ops += len(msg) * self.width
+        return msg
+
+    def leaf(self, msg, j: int):
+        self.ops += self.inner_ops
 
 
 def decode_operation_count(spec: CodeSpec) -> int:
     """Deterministic combine-operation count of one decoder run."""
-
-    def outer(kernels: list[Matrix]) -> int:
-        size = len(kernels[0])
-        width = spec.inner_len
-        if size == 1:
-            inner_ops = width * (spec.m - spec.t)
-            return (len(kernels) - 1) * width + inner_ops
-        splits = [_split_rows(rows) for rows in kernels]
-        h = size // 2
-        ops = 0
-        seen = set()
-        for e, _, b in splits:
-            if e and b not in seen:
-                seen.add(b)
-                members = sum(1 for _, _, bb in splits if bb == b)
-                ops += (members - 1) * h * width
-        firsts, seconds = [], []
-        for e, a, b in splits:
-            if e:
-                ops += 2 * h * width  # check combines + interference removal
-                seconds.append(b)
-            firsts.append(a)
-            seconds.append(b)
-        return ops + outer(firsts) + outer(seconds)
-
-    return outer([k.rows for k in spec.kernels()])
+    tally = _Tally(spec)
+    _walk(_carriers(spec, range(spec.block_count * spec.r)), tally)
+    return tally.ops
 
 
 # -- exact oracle ------------------------------------------------------------
@@ -469,15 +443,12 @@ def exact_erasure_oracle(spec: CodeSpec) -> list[Poly]:
     if n_sym > ORACLE_MAX_BITS:
         raise ValueError(f"total length {n_sym} exceeds oracle bound {ORACLE_MAX_BITS}")
     counts = np.zeros((spec.n, n_sym + 1), dtype=np.int64)
-    chunk = 1 << min(n_sym, 16)
-    bit_cols = np.arange(n_sym, dtype=np.uint32)
-    for start in range(0, 1 << n_sym, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.uint32)
-        patterns = ((idx[:, None] >> bit_cols[None, :]) & 1).astype(bool)
-        weights = patterns.sum(axis=1)
-        flags = erasure_flow(spec, patterns)
-        for i in range(spec.n):
-            counts[i] += np.bincount(weights[flags[:, i]], minlength=n_sym + 1)
+    idx = np.arange(1 << n_sym, dtype=np.uint32)
+    patterns = ((idx[:, None] >> np.arange(n_sym, dtype=np.uint32)) & 1).astype(bool)
+    weights = patterns.sum(axis=1)
+    flags = erasure_flow(spec, patterns)
+    for i in range(spec.n):
+        counts[i] = np.bincount(weights[flags[:, i]], minlength=n_sym + 1)
     one_minus = [Poly.one()]
     for _ in range(n_sym):
         one_minus.append(one_minus[-1] * (Poly.one() - EPS))
@@ -547,9 +518,8 @@ def monte_carlo(
         raise ValueError("need at least one trial")
     eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     rng = np.random.default_rng(seed)
-    n_bits = spec.n
-    info = [i for i in range(n_bits) if i not in set(spec.frozen)]
-    bit_fail = np.zeros(n_bits, dtype=np.int64)
+    info = list(spec.info_positions)
+    bit_fail = np.zeros(spec.n, dtype=np.int64)
     block_fail = 0
     remaining = trials
     p = float(eps)

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .channel_algebra import Bit, Check, Rep, W, expr_to_erasure_poly
-from .patterns import PatternAssignment, PatternFamily
+from .channel_algebra import Bit, Check, Rep, W, check_combine, expr_to_erasure_poly
+from .patterns import Matrix, PatternAssignment, PatternFamily, split_kernel
 from .poly import EPS, ONE, Poly
 
 
@@ -115,60 +116,39 @@ def coded_repetition_scheme(t: int) -> EffectiveChannelSet:
 
 # -- design analysis for arbitrary assignments -------------------------------
 
-Matrix_ = tuple[tuple[int, ...], ...]
+def _lone_check(z: Poly) -> Poly:
+    return check_combine(z, z * z)
 
 
-def _split_kernel(rows: Matrix_) -> tuple[int, Matrix_, Matrix_]:
-    h = len(rows) // 2
-    a = tuple(row[:h] for row in rows[:h])
-    b = tuple(row[h:] for row in rows[h:])
-    c = tuple(row[:h] for row in rows[h:])
-    zero = tuple((0,) * h for _ in range(h))
-    if c == zero:
-        return 0, a, b
-    if c == b:
-        return 1, a, b
-    raise ValueError("kernel is not block-structured as [[A,0],[e*B,B]]")
+def _merged_check(z: Poly) -> Poly:
+    return check_combine(z, z)
 
 
-def _single_factor(rows: Matrix_, z: Poly, k: int) -> Poly:
-    """Design factor of one lone block: self-similar polarization maps.
+def _factor(rows: Matrix, z: Poly, k: int, check: Callable[[Poly], Poly]) -> Poly:
+    """Design factor of sub-codeword k through one kernel's tree.
 
-    A polarizing level sends the earlier half to check(z, z**2) and the
-    later half to z**2 -- the partner is budgeted two uses of the current
-    channel, its own leg plus one repetition leg, which is what makes one
-    polarized block plus plain repetitions come out as the single-pattern
-    recursion.  Non-polarizing levels pass z through.
+    A polarizing level sends the earlier half to ``check(z)`` and the later
+    half to z**2; non-polarizing levels pass z through.  The check map is the
+    one place lone and merged blocks differ:
+
+    * a lone block (``_lone_check``) sends the earlier half to
+      check(z, z**2) -- the partner is budgeted two uses of the current
+      channel, its own leg plus one repetition leg, which is what makes one
+      polarized block plus plain repetitions come out as the single-pattern
+      recursion;
+    * a group of identical blocks, seeded with z = eps**mult
+      (``_merged_check``), is plain repetition of its codeword, so the
+      aligned legs fuse into a single channel and the block polarizes with
+      the standard map check(z, z).  This is exact, matching both the
+      decoder and the length-one repetition scheme.
     """
     if len(rows) == 1:
         return z
-    e, a, b = _split_kernel(rows)
+    e, a, b = split_kernel(rows)
     h = len(rows) // 2
     if k < h:
-        if e:
-            zz = z * z
-            z = z + zz - z * zz
-        return _single_factor(a, z, k)
-    return _single_factor(b, z * z if e else z, k - h)
-
-
-def _merged_factor(rows: Matrix_, z: Poly, k: int) -> Poly:
-    """Factor of a group of identical blocks, seeded with z = eps**mult.
-
-    Repeating one block is plain repetition of its codeword, so the aligned
-    legs fuse into a single channel and the block polarizes with the
-    standard maps: check level z -> 2z - z**2, bit level z -> z**2.  This is
-    exact, matching both the decoder and the length-one repetition scheme.
-    """
-    if len(rows) == 1:
-        return z
-    e, a, b = _split_kernel(rows)
-    h = len(rows) // 2
-    if k < h:
-        if e:
-            z = z.scale(2) - z * z
-        return _merged_factor(a, z, k)
-    return _merged_factor(b, z * z if e else z, k - h)
+        return _factor(a, check(z) if e else z, k, check)
+    return _factor(b, z * z if e else z, k - h, check)
 
 
 def assignment_erasures(
@@ -188,7 +168,7 @@ def assignment_erasures(
         raise ValueError(
             f"assignment has {assignment.r} blocks but kernels have size {family.size}"
         )
-    groups: dict[Matrix_, int] = {}
+    groups: dict[Matrix, int] = {}
     for kern in kernels:
         groups[kern.rows] = groups.get(kern.rows, 0) + 1
     per = []
@@ -196,9 +176,9 @@ def assignment_erasures(
         acc = ONE
         for rows, mult in groups.items():
             if mult == 1:
-                acc = acc * _single_factor(rows, EPS, k)
+                acc = acc * _factor(rows, EPS, k, _lone_check)
             else:
-                acc = acc * _merged_factor(rows, EPS**mult, k)
+                acc = acc * _factor(rows, EPS**mult, k, _merged_check)
         per.append(acc)
     return _make_set(tuple(per))
 

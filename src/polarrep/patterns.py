@@ -133,6 +133,23 @@ def coupled_block_kernel(e: int, a: Kernel, b: Kernel) -> Kernel:
     return Kernel(tuple(rows))
 
 
+def split_kernel(rows: Matrix) -> tuple[int, Matrix, Matrix]:
+    """Inverse of :func:`coupled_block_kernel` on raw rows: (e, A, B).
+
+    This is the one place that reads the block format [[A, 0], [e*B, B]];
+    every kernel-tree walk descends through it, one level per call.
+    """
+    h = len(rows) // 2
+    a = tuple(row[:h] for row in rows[:h])
+    b = tuple(row[h:] for row in rows[h:])
+    c = tuple(row[:h] for row in rows[h:])
+    if c == tuple((0,) * h for _ in range(h)):
+        return 0, a, b
+    if c == b:
+        return 1, a, b
+    raise ValueError("kernel is not block-structured as [[A,0],[e*B,B]]")
+
+
 def irregular_family_r4() -> PatternFamily:
     """The eight irregular 4x4 kernels K(e, A, B).
 

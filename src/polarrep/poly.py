@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     while coeffs and coeffs[-1] == 0:
@@ -181,29 +179,6 @@ class Poly:
         return Poly([Fraction(s) for s in items])
 
 
-# Module-level operation aliases: the natural spelling in client code is the
-# operator form, but these names keep call sites explicit where it helps.
-
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return p - q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def compose(p: Poly, q: Poly) -> Poly:
-    return p.compose(q)
-
-
-def evaluate(p: Poly, x: Fraction | int) -> Fraction:
-    return p.evaluate(x)
-
-
 #: The indeterminate: the raw channel erasure probability.
 EPS = Poly((0, 1))
 ONE = Poly.one()
@@ -287,22 +262,25 @@ class SturmSequence:
                 signs.append(v > 0)
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
+    def roots_in(self, a: Fraction | int, b: Fraction | int) -> int:
+        """Number of distinct real roots in the open interval (a, b).
+
+        The sign-change difference counts roots in the half-open interval
+        (a, b]; a root exactly at b is then removed so the interval is
+        genuinely open, matching the use here (the interval ends are
+        typically known roots of the polynomial under test).
+        """
+        a, b = Fraction(a), Fraction(b)
+        if not a < b:
+            raise ValueError(f"need a < b, got a={a}, b={b}")
+        count = self.sign_changes(a) - self.sign_changes(b)
+        if self.chain[0].evaluate(b) == 0:
+            count -= 1
+        return count
+
 
 def count_roots_in(p: Poly, a: Fraction | int, b: Fraction | int) -> int:
-    """Number of distinct real roots of p in the open interval (a, b).
-
-    The sign-change difference of the Sturm chain counts roots in the
-    half-open interval (a, b]; a root exactly at b is then removed so the
-    interval is genuinely open, matching the use here (the interval ends are
-    typically known roots of the polynomial under test).
-    """
-    a, b = Fraction(a), Fraction(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
+    """Number of distinct real roots of p in the open interval (a, b)."""
     if p.is_zero():
         raise ValueError("root counting rejects the zero polynomial")
-    seq = SturmSequence(p)
-    count = seq.sign_changes(a) - seq.sign_changes(b)
-    if seq.chain[0].evaluate(b) == 0:
-        count -= 1
-    return count
+    return SturmSequence(p).roots_in(a, b)

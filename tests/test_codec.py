@@ -135,19 +135,25 @@ class TestScDecode:
 
     def test_matches_erasure_flow_on_random_patterns(self):
         rng = random.Random(5)
+        irr4 = family_by_name("irr4")
         specs = [
             oracle_spec(REG2, A01, 3, 1),
-            oracle_spec(family_by_name("irr4"), PatternAssignment([2, 5, 7, 7]), 2, 2),
+            oracle_spec(irr4, PatternAssignment([2, 5, 7, 7]), 2, 2),
+            # Three split levels, mixing coupled and uncoupled kernels.
+            oracle_spec(family_by_name("reg8"), PatternAssignment([0, 1, 2, 3, 4, 5, 6, 7]), 3, 3),
+            # Partially frozen: the decoder stops at the first flagged info bit.
+            design_code(4, 2, PatternAssignment([2, 5, 7, 7]), F(1, 2), 7, irr4),
         ]
         for spec in specs:
             for _ in range(60):
                 pattern = [rng.random() < 0.4 for _ in range(spec.total_len)]
                 flags = erasure_flow(spec, np.array([pattern]))[0]
                 word = [None if e else 0 for e in pattern]
-                if flags.any():
+                failing = [i for i in spec.info_positions if flags[i]]
+                if failing:
                     with pytest.raises(DecodeFailure) as err:
                         sc_decode(spec, word)
-                    assert err.value.bit_index == int(np.argmax(flags))
+                    assert err.value.bit_index == failing[0]
                 else:
                     assert sc_decode(spec, word) == [0] * spec.k
 
@@ -261,6 +267,10 @@ def test_operation_count_scaling():
         if previous is not None:
             assert ops <= 2.5 * previous
         previous = ops
+    # Pinned count of the m=10 irr4 {2,5,7,7} decoder.
+    irr4 = design_code(10, 2, PatternAssignment([2, 5, 7, 7]), F(1, 2), 512,
+                       family_by_name("irr4"))
+    assert decode_operation_count(irr4) == 16_896
 
 
 def test_monte_carlo_reports_operations():

@@ -104,7 +104,7 @@ class TestDominance:
 
     def test_negative_endpoint_forces_interior_root(self):
         # A polynomial positive somewhere inside but negative at an endpoint
-        # must cross zero inside, so it is refuted by the root count; the
-        # inconclusive_at_endpoints verdict is a defensive branch only.
+        # must cross zero inside, so it is refuted by the root count; no
+        # verdict beyond certified/refuted is needed for endpoint signs.
         d = Poly([0, F(5, 2), -3])  # 5/2 eps - 3 eps^2: negative at 1
         assert certify_dominance(d, Poly.zero()) == "refuted"
