@@ -5,7 +5,9 @@ Five subcommands: ``analyze`` (effective channels of one assignment),
 certificates), ``curves`` (capacity curve table), ``simulate`` (Monte Carlo
 runs and the exact oracle comparison).  Every command writes one JSON or CSV
 document to stdout or ``--out`` and exits 0 exactly when the requested
-certification or validation succeeded.
+certification or validation succeeded.  Bad input values and unreadable
+files exit 1 with one compact JSON object on stderr; malformed flags are
+left to argparse, which prints its usage and exits 2.
 
 Rationals on the command line are parsed exactly: ``1/2`` and ``0.5`` are
 the same value.  A JSON config file can hold defaults for any flag; explicit
@@ -75,13 +77,20 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _fail(args, reason: str, **extra) -> int:
-    _emit({"status": "error", "reason": reason, **extra}, args)
-    return 1
-
-
 def _grid(args) -> tuple[Fraction, ...]:
-    return tuple(args.grid) if args.grid else DEFAULT_GRID
+    if not args.grid:
+        return DEFAULT_GRID
+    for g in args.grid:
+        if not 0 < g < 1:
+            raise ValueError(f"grid point {g} outside (0, 1)")
+    return tuple(args.grid)
+
+
+def _levels(r: int) -> int:
+    """Level count t of a repetition count r = 2**t."""
+    if r < 1 or r & (r - 1):
+        raise ValueError(f"repetition count {r} is not a power of two")
+    return r.bit_length() - 1
 
 
 def _eval_table(polys: dict[str, Poly], grid) -> list[dict]:
@@ -130,10 +139,7 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     _require(args, "family")
     family = family_by_name(args.family)
-    certify = None
-    if args.no_certify:
-        certify = False
-    report = best_assignment(family, r=args.r, grid=_grid(args), certify=certify)
+    report = best_assignment(family, r=args.r, grid=_grid(args), certify=not args.no_certify)
     if args.format == "csv":
         _emit(report.to_csv_rows(), args)
     else:
@@ -143,6 +149,8 @@ def cmd_search(args) -> int:
 
 def cmd_prove(args) -> int:
     grid = _grid(args)
+    if args.custom is None and not args.t:
+        raise ValueError("nothing to prove: pass --t and/or --custom")
     certificates = []
     all_certified = True
     if args.custom is not None:
@@ -157,8 +165,6 @@ def cmd_prove(args) -> int:
         entry["curve"] = _eval_table({"sum_erasure": total, "r_eps": r_eps}, grid)
         certificates.append(entry)
         all_certified &= cert.certified
-    if not certificates:
-        return _fail(args, "nothing to prove: pass --t and/or --custom")
     if args.format == "csv":
         rows = [["t", "eps", "sum_erasure", "r_eps", "verdict"]]
         for entry in certificates:
@@ -211,10 +217,7 @@ def cmd_curves(args) -> int:
     r_values = args.r or [2, 4, 8]
     schemes = {}
     for r in r_values:
-        t = r.bit_length() - 1
-        if (1 << t) != r:
-            return _fail(args, f"repetition count {r} is not a power of two")
-        schemes[r] = coded_repetition_scheme(t).capacity_poly
+        schemes[r] = coded_repetition_scheme(_levels(r)).capacity_poly
     irregular = (
         reference_expression_set("irregular_best_r4").capacity_poly
         if 4 in schemes
@@ -246,10 +249,7 @@ def _simulate_family(args):
         return family_by_name(args.family)
     if args.r is None:
         raise ValueError("pass --family or --r")
-    t = args.r.bit_length() - 1
-    if (1 << t) != args.r:
-        raise ValueError(f"repetition count {args.r} is not a power of two")
-    return regular_family(t)
+    return regular_family(_levels(args.r))
 
 
 def cmd_simulate(args) -> int:
@@ -266,9 +266,10 @@ def cmd_simulate(args) -> int:
     design_eps = args.design_eps if args.design_eps is not None else args.eps
     spec = design_code(m, t, assignment, design_eps, k, family)
     report = monte_carlo(spec, args.eps, args.trials, seed=args.seed)
-    design = synthetic_erasure_values(
-        assignment_erasures(assignment, family).per_subword, m - t, args.eps
-    )
+    design = spec.design_erasures
+    if spec.design_eps != args.eps:
+        per = assignment_erasures(assignment, family).per_subword
+        design = synthetic_erasure_values(per, m - t, args.eps)
     if args.format == "csv":
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)
@@ -375,13 +376,12 @@ def main(argv: list[str] | None = None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
-    defaults = None
-    if known.config:
-        with open(known.config) as fh:
-            defaults = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
     try:
+        defaults = None
+        if known.config:
+            with open(known.config) as fh:
+                defaults = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
+        args = build_parser(defaults).parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"status": "error", "reason": str(exc)}) + "\n")

@@ -34,8 +34,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .channel_algebra import standard_synthetic_channel
-from .effective_channels import EffectiveChannelSet, assignment_erasures
+from .effective_channels import assignment_erasures
 from .patterns import (
     Kernel,
     Matrix,
@@ -50,6 +49,9 @@ from .poly import EPS, Poly
 #: Total lengths r * 2**m are powers of two, so the next length, 32, is the
 #: first one refused.
 ORACLE_MAX_BITS = 16
+
+#: Symbols drawn per Monte Carlo chunk (32 MB of float64), in whole trials.
+MC_CHUNK_DRAWS = 1 << 22
 
 
 class DecodeFailure(Exception):
@@ -67,7 +69,8 @@ class CodeSpec:
     ``frozen`` is the sorted tuple of frozen u-bit indices; the remaining
     ``k`` indices carry information.  Global bit index j*2**(m-t) + i is bit
     i of sub-codeword j, which is also the successive-cancellation decode
-    order.
+    order.  ``design_erasures`` holds the exact erasures at ``design_eps``
+    that chose the frozen set; derived, it stays out of equality and output.
     """
 
     m: int
@@ -77,6 +80,7 @@ class CodeSpec:
     design_eps: Fraction
     k: int
     frozen: tuple[int, ...]
+    design_erasures: tuple[Fraction, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -91,12 +95,8 @@ class CodeSpec:
         return 1 << (self.m - self.t)
 
     @property
-    def block_count(self) -> int:
-        return self.assignment.r
-
-    @property
     def total_len(self) -> int:
-        return self.block_count * self.n
+        return self.r * self.n
 
     @property
     def info_positions(self) -> tuple[int, ...]:
@@ -105,9 +105,6 @@ class CodeSpec:
 
     def kernels(self) -> tuple[Kernel, ...]:
         return self.assignment.kernels(self.family)
-
-    def channels(self) -> EffectiveChannelSet:
-        return assignment_erasures(self.assignment, self.family)
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,37 +118,33 @@ class CodeSpec:
         }
 
 
+def _polarize(values: list, levels: int) -> list:
+    """Inner polarization of exact values or :class:`Poly` erasures: entry j
+    becomes its synthetic channels at j * 2**levels + i, where the bits of i,
+    most significant first, pick the check map z -> 2z - z**2 (0) or the bit
+    map z -> z**2 (1), as in ``channel_algebra.standard_synthetic_channel``."""
+    for _ in range(levels):
+        nxt = []
+        for z in values:
+            sq = z * z
+            nxt.append(z + z - sq)
+            nxt.append(sq)
+        values = nxt
+    return values
+
+
 def synthetic_erasure_values(
     per_subword: Sequence[Poly], inner_levels: int, eps: Fraction
 ) -> list[Fraction]:
-    """Design erasure of every u-bit: inner polarization of each sub-channel.
-
-    Scalar recursion on exact rationals; bit (j, i) gets the inner map chain
-    of i applied to per_subword[j] evaluated at the design point.
-    """
-    values = []
-    for z in per_subword:
-        base = z.evaluate(eps)
-        level_vals = [base]
-        for _ in range(inner_levels):
-            nxt = []
-            for v in level_vals:
-                nxt.append(2 * v - v * v)
-                nxt.append(v * v)
-            level_vals = nxt
-        values.extend(level_vals)
-    return values
+    """Design erasure of every u-bit at ``eps``: each sub-channel's value,
+    inner polarized exactly."""
+    return _polarize([z.evaluate(eps) for z in per_subword], inner_levels)
 
 
 def synthetic_polynomials(spec: CodeSpec) -> list[Poly]:
     """Exact design erasure polynomial of every u-bit of the code."""
-    per = spec.channels().per_subword
-    inner = spec.m - spec.t
-    return [
-        standard_synthetic_channel(inner, i, base=per[j])
-        for j in range(spec.r)
-        for i in range(1 << inner)
-    ]
+    per = assignment_erasures(spec.assignment, spec.family).per_subword
+    return _polarize(list(per), spec.m - spec.t)
 
 
 def design_code(
@@ -166,7 +159,8 @@ def design_code(
 
     All 2**m synthetic erasures are evaluated exactly at the design point
     and the worst 2**m - k are frozen; at equal erasure the larger index is
-    frozen first, so constructions are deterministic.
+    frozen first, so constructions are deterministic.  The values are kept
+    on the spec as ``design_erasures``.
     """
     if not 0 <= t <= m:
         raise ValueError(f"need 0 <= t <= m, got t={t}, m={m}")
@@ -189,6 +183,7 @@ def design_code(
         design_eps=design_eps,
         k=k,
         frozen=frozen,
+        design_erasures=tuple(values),
     )
 
 
@@ -422,7 +417,7 @@ class _Tally:
 def decode_operation_count(spec: CodeSpec) -> int:
     """Deterministic combine-operation count of one decoder run."""
     tally = _Tally(spec)
-    _walk(_carriers(spec, range(spec.block_count * spec.r)), tally)
+    _walk(_carriers(spec, range(spec.r * spec.r)), tally)
     return tally.ops
 
 
@@ -486,7 +481,7 @@ class SimReport:
     per_bit_rates: tuple[float, ...]
     block_error_rate: float
     operations: int
-    operations_per_decode: int = field(default=0)
+    operations_per_decode: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -506,25 +501,29 @@ def monte_carlo(
     eps: Fraction | float | str,
     trials: int,
     seed: int = 0,
-    chunk: int = 1 << 13,
 ) -> SimReport:
     """Simulate i.i.d. erasures and measure genie-aided per-bit rates.
 
     Rates are reported for every u-bit; the block error rate counts trials
-    where any unfrozen bit was undecodable.  Results are deterministic given
-    the seed (fixed chunking) and independent of the transmitted values.
+    where any unfrozen bit was undecodable.  Results are independent of the
+    transmitted values and deterministic given the seed: draws come from one
+    stream in trial order, so the chunk size (``MC_CHUNK_DRAWS`` symbols,
+    whole trials) does not change them.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+    if not 0 <= eps <= 1:
+        raise ValueError(f"erasure probability must lie in [0, 1], got {eps}")
     rng = np.random.default_rng(seed)
     info = list(spec.info_positions)
     bit_fail = np.zeros(spec.n, dtype=np.int64)
     block_fail = 0
     remaining = trials
     p = float(eps)
+    rows = max(1, MC_CHUNK_DRAWS // spec.total_len)
     while remaining:
-        size = min(chunk, remaining)
+        size = min(rows, remaining)
         erased = rng.random((size, spec.total_len)) < p
         flags = erasure_flow(spec, erased)
         bit_fail += flags.sum(axis=0)
@@ -585,18 +584,13 @@ def compare_oracle_with_analysis(
 
     ``analysis`` defaults to the design channels of the assignment; pass the
     golden reference expressions to compare those instead.  Sub-codeword
-    channels are composed with the inner polarization maps so both sides
-    describe the same 2**m bits.
+    channels are inner polarized so both sides describe the same 2**m bits.
     """
     spec = oracle_spec(family, assignment, m, t)
     oracle = exact_erasure_oracle(spec)
     if analysis is None:
         analysis = assignment_erasures(assignment, family).per_subword
-    composed = [
-        standard_synthetic_channel(m - t, i, base=analysis[j])
-        for j in range(1 << t)
-        for i in range(1 << (m - t))
-    ]
+    composed = _polarize(list(analysis), m - t)
     mism = tuple(i for i in range(1 << m) if oracle[i] != composed[i])
     return OracleComparison(
         label=label or f"{family.kind}:{assignment.label()} m={m}",

@@ -182,7 +182,6 @@ class Poly:
 #: The indeterminate: the raw channel erasure probability.
 EPS = Poly((0, 1))
 ONE = Poly.one()
-ZERO = Poly.zero()
 
 
 # -- Sturm machinery ------------------------------------------------------

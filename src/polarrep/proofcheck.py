@@ -103,6 +103,8 @@ def certify_gain(t: int, sample: Fraction = Fraction(1, 2)) -> GainCertificate:
     r*eps, whose strict negativity on (0, 1) is equivalent to the scheme's
     capacity exceeding that of plain repetition.
     """
+    if t < 1:
+        raise ValueError(f"need at least one level, got t={t}")
     r = 1 << t
     total = Poly.zero()
     for z in regular_block_erasures(0, t):

@@ -73,15 +73,16 @@ def best_assignment(
     family: PatternFamily,
     r: int | None = None,
     grid: tuple[Fraction, ...] = DEFAULT_GRID,
-    certify: bool | None = None,
+    certify: bool = True,
 ) -> SearchReport:
     """Exhaustive capacity search over all assignments of size r.
 
     Ties on grid wins break toward the lexicographically smallest canonical
-    multiset, so reports are reproducible.  ``certify=None`` runs the Sturm
-    dominance certificate against every other candidate exactly when the
-    winner maximizes capacity at every grid point; True forces the attempt
-    and False skips it.
+    multiset, so reports are reproducible.  ``certify`` asks for the Sturm
+    dominance certificate against every other candidate.  It is attempted
+    only when the winner maximizes capacity at every grid point: otherwise
+    some difference is negative at a grid point, so it is negative at the
+    sample or has a root in (0, 1), and the certificate is refuted anyway.
     """
     if r is None:
         r = family.size
@@ -118,7 +119,7 @@ def best_assignment(
         )
 
     certified = False
-    if certify or (certify is None and dominant):
+    if certify and dominant:
         from .proofcheck import certify_dominance
 
         certified = all(

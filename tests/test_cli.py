@@ -1,8 +1,14 @@
 """Command-line interface behavior."""
 
 import json
+from fractions import Fraction
+
+import pytest
 
 from polarrep.cli import main
+from polarrep.codec import synthetic_erasure_values
+from polarrep.effective_channels import assignment_erasures
+from polarrep.patterns import PatternAssignment, family_by_name
 
 
 def run(capsys, *argv):
@@ -94,6 +100,17 @@ def test_simulate_runs(capsys):
     assert 0 <= doc["block_error_rate"] <= 1
 
 
+def test_simulate_design_erasures_at_eps(capsys):
+    # The frozen set comes from --design-eps; the reported erasures are at --eps.
+    argv = ("simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "10")
+    _, same = run_json(capsys, *argv)
+    _, other = run_json(capsys, *argv, "--design-eps", "1/3")
+    per = assignment_erasures(PatternAssignment([0, 1]), family_by_name("reg2")).per_subword
+    expected = [str(v) for v in synthetic_erasure_values(per, 2, Fraction(1, 2))]
+    assert other["spec"]["design_eps"] == "1/3"
+    assert same["design_erasures"] == other["design_erasures"] == expected
+
+
 def test_simulate_oracle(capsys):
     code, doc = run_json(
         capsys, "simulate", "--oracle", "--r", "2", "--m", "2", "--assign", "0,1"
@@ -138,11 +155,34 @@ def test_config_file_defaults(tmp_path, capsys):
     assert doc["assignment"] == [1, 1]
 
 
-def test_bad_family_fails_cleanly(capsys):
-    code = main(["analyze", "--family", "reg3", "--assign", "0,1"])
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        pytest.param(["analyze", "--family", "reg3", "--assign", "0,1"], "reg3",
+                     id="unknown-family"),
+        pytest.param(["analyze", "--family", "reg2", "--assign", "0,1", "--grid", "2"],
+                     "grid point 2 outside (0, 1)", id="grid-outside"),
+        pytest.param(["prove"], "nothing to prove", id="nothing-to-prove"),
+        pytest.param(["prove", "--t", "-1"], "t=-1", id="negative-t"),
+        pytest.param(["prove", "--t", "0"], "t=0", id="zero-t"),
+        pytest.param(["curves", "--r", "3"], "not a power of two", id="curves-r3"),
+        pytest.param(["simulate", "--r", "3", "--m", "3", "--assign", "0,1"],
+                     "not a power of two", id="simulate-r3"),
+        pytest.param(["simulate", "--r", "2", "--m", "2", "--assign", "0,1", "--eps", "2",
+                      "--design-eps", "1/2"], "got 2", id="simulate-eps2"),
+        pytest.param(["--config", "no-such-config.json", "analyze"], "no-such-config.json",
+                     id="missing-config"),
+    ],
+)
+def test_bad_family_fails_cleanly(capsys, argv, reason):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
-    assert "reg3" in captured.err
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    error = json.loads(captured.err)
+    assert error["status"] == "error"
+    assert reason in error["reason"]
 
 
 def test_missing_required_flag(capsys):

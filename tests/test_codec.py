@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from polarrep import codec
 from polarrep.channel_algebra import standard_synthetic_channel
 from polarrep.codec import (
     DecodeFailure,
@@ -38,6 +39,7 @@ class TestDesignCode:
             assignment_erasures(A01, REG2).per_subword, 0, F(1, 2)
         )
         assert values == [F(5, 16), F(1, 8)]
+        assert spec.design_erasures == tuple(values)
 
     def test_keeps_more_reliable_bit(self):
         spec = design_code(1, 1, A01, F(1, 2), 1, REG2)
@@ -225,12 +227,15 @@ class TestMonteCarlo:
         deaf = monte_carlo(spec, 1, 50, seed=1)
         assert set(deaf.per_bit_rates) == {1.0}
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, monkeypatch):
         spec = design_code(4, 1, A01, F(1, 2), 8, REG2)
         a = monte_carlo(spec, F(1, 2), 4000, seed=42)
         b = monte_carlo(spec, F(1, 2), 4000, seed=42)
         assert a.per_bit_rates == b.per_bit_rates
         assert a.block_error_rate == b.block_error_rate
+        # Chunks of 1500, 1500 and 1000 trials draw the same stream.
+        monkeypatch.setattr(codec, "MC_CHUNK_DRAWS", 1500 * spec.total_len)
+        assert monte_carlo(spec, F(1, 2), 4000, seed=42) == a
 
     def test_rates_match_design_three_sigma(self):
         spec = design_code(5, 1, A01, F(1, 2), 16, REG2)
