@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import sys
@@ -28,7 +29,7 @@ from .codec import (
     compare_oracle_with_analysis,
     design_code,
     monte_carlo,
-    synthetic_erasure_values,
+    synthetic_erasure_ratios,
 )
 from .effective_channels import (
     assignment_erasures,
@@ -53,8 +54,16 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def _decimal(value: Fraction) -> str:
+def _decimal(value: Fraction | float) -> str:
     return f"{float(value):.12g}"
+
+
+def _exact(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` of a reduced ratio.  ``Decimal`` formats
+    integers past the interpreter's limit on ``str(int)`` digits, which stays
+    in force for parsing input."""
+    num = str(decimal.Decimal(n))
+    return num if d == 1 else f"{num}/{decimal.Decimal(d)}"
 
 
 def _emit(payload, args) -> None:
@@ -266,21 +275,23 @@ def cmd_simulate(args) -> int:
     design_eps = args.design_eps if args.design_eps is not None else args.eps
     spec = design_code(m, t, assignment, design_eps, k, family)
     report = monte_carlo(spec, args.eps, args.trials, seed=args.seed)
-    design = spec.design_erasures
+    design = spec.design_ratios
     if spec.design_eps != args.eps:
         per = assignment_erasures(assignment, family).per_subword
-        design = synthetic_erasure_values(per, m - t, args.eps)
+        design = synthetic_erasure_ratios(per, m - t, args.eps)
     if args.format == "csv":
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)
         for i, rate in enumerate(report.per_bit_rates):
-            rows.append([i, f"{rate:.12g}", _decimal(design[i]), int(i in frozen)])
+            n, d = design[i]
+            rows.append([i, f"{rate:.12g}", _decimal(n / d), int(i in frozen)])
         _emit(rows, args)
         return 0
+    text = _exact if args.exact else lambda n, d: _decimal(n / d)
     payload = {
         "command": "simulate",
         **report.to_json_dict(),
-        "design_erasures": [str(v) for v in design],
+        "design_erasures": [text(n, d) for n, d in design],
     }
     _emit(payload, args)
     return 0
@@ -352,6 +363,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true",
                    help="run the exact enumeration oracle comparison instead")
+    p.add_argument("--exact", action="store_true",
+                   help="print JSON design erasures as exact ratios, not decimals")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -380,7 +393,10 @@ def main(argv: list[str] | None = None) -> int:
         defaults = None
         if known.config:
             with open(known.config) as fh:
-                defaults = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError(f"config file {known.config} does not hold a JSON object")
+            defaults = {k.replace("-", "_"): v for k, v in config.items()}
         args = build_parser(defaults).parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -27,6 +27,7 @@ analysis in :mod:`polarrep.effective_channels` is compared against.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,8 +70,9 @@ class CodeSpec:
     ``frozen`` is the sorted tuple of frozen u-bit indices; the remaining
     ``k`` indices carry information.  Global bit index j*2**(m-t) + i is bit
     i of sub-codeword j, which is also the successive-cancellation decode
-    order.  ``design_erasures`` holds the exact erasures at ``design_eps``
-    that chose the frozen set; derived, it stays out of equality and output.
+    order.  ``design_ratios`` holds the erasures at ``design_eps`` that
+    chose the frozen set, as reduced integer ratios (numerator,
+    denominator); derived, they stay out of equality and output.
     """
 
     m: int
@@ -80,7 +82,7 @@ class CodeSpec:
     design_eps: Fraction
     k: int
     frozen: tuple[int, ...]
-    design_erasures: tuple[Fraction, ...] = field(default=(), compare=False, repr=False)
+    design_ratios: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -97,6 +99,11 @@ class CodeSpec:
     @property
     def total_len(self) -> int:
         return self.r * self.n
+
+    @property
+    def design_erasures(self) -> tuple[Fraction, ...]:
+        """The design erasures as exact fractions."""
+        return tuple(Fraction(n, d) for n, d in self.design_ratios)
 
     @property
     def info_positions(self) -> tuple[int, ...]:
@@ -118,33 +125,54 @@ class CodeSpec:
         }
 
 
-def _polarize(values: list, levels: int) -> list:
-    """Inner polarization of exact values or :class:`Poly` erasures: entry j
+def _polarize(values: list, levels: int, den) -> list:
+    """Inner polarization of numerators over the one denominator ``den``
+    (an int, or the unit :class:`Poly` for erasure polynomials): entry j
     becomes its synthetic channels at j * 2**levels + i, where the bits of i,
     most significant first, pick the check map z -> 2z - z**2 (0) or the bit
-    map z -> z**2 (1), as in ``channel_algebra.standard_synthetic_channel``."""
+    map z -> z**2 (1), as in ``channel_algebra.standard_synthetic_channel``.
+
+    With z = n/d the maps give n(2d - n)/d**2 and n**2/d**2, so every result
+    lies over den**(2**levels).  If n/d is in lowest terms, so are both
+    results: each prime of d divides 2d, so it divides neither n nor 2d - n.
+    """
     for _ in range(levels):
+        twice = den + den
         nxt = []
         for z in values:
             sq = z * z
-            nxt.append(z + z - sq)
+            nxt.append(z * twice - sq)
             nxt.append(sq)
         values = nxt
+        den = den * den
     return values
+
+
+def synthetic_erasure_ratios(
+    per_subword: Sequence[Poly], inner_levels: int, eps: Fraction
+) -> list[tuple[int, int]]:
+    """Design erasure of every u-bit at ``eps`` as a reduced ratio
+    (numerator, denominator): each sub-channel's value, inner polarized
+    exactly.  The bits of one sub-codeword share one denominator."""
+    ratios = []
+    for z in per_subword:
+        value = z.evaluate(eps)
+        den = value.denominator ** (1 << inner_levels)
+        ratios += [(n, den) for n in _polarize([value.numerator], inner_levels, value.denominator)]
+    return ratios
 
 
 def synthetic_erasure_values(
     per_subword: Sequence[Poly], inner_levels: int, eps: Fraction
 ) -> list[Fraction]:
-    """Design erasure of every u-bit at ``eps``: each sub-channel's value,
-    inner polarized exactly."""
-    return _polarize([z.evaluate(eps) for z in per_subword], inner_levels)
+    """Design erasure of every u-bit at ``eps``, as exact fractions."""
+    return [Fraction(n, d) for n, d in synthetic_erasure_ratios(per_subword, inner_levels, eps)]
 
 
 def synthetic_polynomials(spec: CodeSpec) -> list[Poly]:
     """Exact design erasure polynomial of every u-bit of the code."""
     per = assignment_erasures(spec.assignment, spec.family).per_subword
-    return _polarize(list(per), spec.m - spec.t)
+    return _polarize(list(per), spec.m - spec.t, Poly.one())
 
 
 def design_code(
@@ -159,8 +187,9 @@ def design_code(
 
     All 2**m synthetic erasures are evaluated exactly at the design point
     and the worst 2**m - k are frozen; at equal erasure the larger index is
-    frozen first, so constructions are deterministic.  The values are kept
-    on the spec as ``design_erasures``.
+    frozen first, so constructions are deterministic.  The ranking compares
+    integers: each numerator brought over the least common denominator.
+    The ratios are kept on the spec as ``design_ratios``.
     """
     if not 0 <= t <= m:
         raise ValueError(f"need 0 <= t <= m, got t={t}, m={m}")
@@ -172,8 +201,13 @@ def design_code(
     if family.size != (1 << t):
         raise ValueError(f"family kernels have size {family.size}, expected {1 << t}")
     per = assignment_erasures(assignment, family).per_subword
-    values = synthetic_erasure_values(per, m - t, design_eps)
-    order = sorted(range(1 << m), key=lambda i: (values[i], i), reverse=True)
+    ratios = synthetic_erasure_ratios(per, m - t, design_eps)
+    dens = {d for _, d in ratios}
+    common = math.lcm(*dens)
+    scale = {d: common // d for d in dens}
+    keys = [n * scale[d] for n, d in ratios]
+    # A stable sort keeps the input order among equal keys: larger index first.
+    order = sorted(reversed(range(1 << m)), key=keys.__getitem__, reverse=True)
     frozen = tuple(sorted(order[: (1 << m) - k]))
     return CodeSpec(
         m=m,
@@ -183,7 +217,7 @@ def design_code(
         design_eps=design_eps,
         k=k,
         frozen=frozen,
-        design_erasures=tuple(values),
+        design_ratios=tuple(ratios),
     )
 
 
@@ -590,7 +624,7 @@ def compare_oracle_with_analysis(
     oracle = exact_erasure_oracle(spec)
     if analysis is None:
         analysis = assignment_erasures(assignment, family).per_subword
-    composed = _polarize(list(analysis), m - t)
+    composed = _polarize(list(analysis), m - t, Poly.one())
     mism = tuple(i for i in range(1 << m) if oracle[i] != composed[i])
     return OracleComparison(
         label=label or f"{family.kind}:{assignment.label()} m={m}",

@@ -19,6 +19,10 @@ from math import comb
 from .effective_channels import EffectiveChannelSet, assignment_erasures
 from .patterns import PatternAssignment, PatternFamily
 
+#: Largest candidate count a search enumerates: reg8 (6,435) fits, reg16
+#: (300,540,195) would not fit in memory.
+MAX_CANDIDATES = 100_000
+
 #: Uniform rational grid 1/20 .. 19/20 used when the caller does not choose.
 DEFAULT_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 20) for i in range(1, 20))
 
@@ -60,9 +64,15 @@ class SearchReport:
 
 
 def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignment]:
-    """All multisets of size r over the family indices, lexicographic."""
+    """All multisets of size r over the family indices, lexicographic.
+
+    Refuses, before listing any, more than MAX_CANDIDATES multisets.
+    """
     if r < 1:
         raise ValueError("need at least one block")
+    count = comb(len(family) + r - 1, r)
+    if count > MAX_CANDIDATES:
+        raise ValueError(f"{count} candidate assignments exceed the limit of {MAX_CANDIDATES}")
     return [
         PatternAssignment(indices)
         for indices in combinations_with_replacement(range(len(family)), r)
@@ -86,6 +96,8 @@ def best_assignment(
     """
     if r is None:
         r = family.size
+    if r != family.size:
+        raise ValueError(f"r={r} differs from the kernel size {family.size}")
     if not grid:
         raise ValueError("grid must be nonempty")
     for g in grid:

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from polarrep.cli import main
+from polarrep import search
+from polarrep.cli import _decimal, _exact, main
 from polarrep.codec import synthetic_erasure_values
 from polarrep.effective_channels import assignment_erasures
 from polarrep.patterns import PatternAssignment, family_by_name
@@ -102,13 +103,38 @@ def test_simulate_runs(capsys):
 
 def test_simulate_design_erasures_at_eps(capsys):
     # The frozen set comes from --design-eps; the reported erasures are at --eps.
-    argv = ("simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "10")
+    argv = ("simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "10", "--exact")
     _, same = run_json(capsys, *argv)
     _, other = run_json(capsys, *argv, "--design-eps", "1/3")
     per = assignment_erasures(PatternAssignment([0, 1]), family_by_name("reg2")).per_subword
     expected = [str(v) for v in synthetic_erasure_values(per, 2, Fraction(1, 2))]
     assert other["spec"]["design_eps"] == "1/3"
     assert same["design_erasures"] == other["design_erasures"] == expected
+
+
+def test_simulate_decimal_design_erasures(capsys):
+    argv = ("simulate", "--family", "irr4", "--m", "5", "--assign", "2,5,7,7",
+            "--eps", "2/5", "--design-eps", "1/3", "--trials", "50", "--seed", "3")
+    _, plain = run_json(capsys, *argv)
+    _, exact = run_json(capsys, *argv, "--exact")
+    decimals, ratios = plain.pop("design_erasures"), exact.pop("design_erasures")
+    assert decimals == [_decimal(Fraction(v)) for v in ratios]
+    assert plain == exact
+
+
+def test_exact_text_past_digit_limit():
+    # str() of an int with more than 4,300 digits raises ValueError.
+    assert _exact(10**5000, 10**4400 + 7) == "1" + "0" * 5000 + "/1" + "0" * 4399 + "7"
+    assert _exact(10**4400, 1) == "1" + "0" * 4400
+    assert _exact(0, 1) == "0"
+    assert _exact(5, 16) == str(Fraction(5, 16))
+
+
+def test_simulate_m13_past_digit_limit(capsys):
+    code, doc = run_json(capsys, "simulate", "--family", "irr4", "--m", "13",
+                         "--assign", "2,5,7,7", "--trials", "2")
+    assert code == 0
+    assert len(doc["design_erasures"]) == 1 << 13
 
 
 def test_simulate_oracle(capsys):
@@ -183,6 +209,30 @@ def test_bad_family_fails_cleanly(capsys, argv, reason):
     error = json.loads(captured.err)
     assert error["status"] == "error"
     assert reason in error["reason"]
+
+
+def test_config_not_an_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    code = main(["--config", str(config), "analyze"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "does not hold a JSON object" in json.loads(captured.err)["reason"]
+
+
+def test_search_size_checked_before_enumeration(monkeypatch, capsys):
+    def enumerated(*args):
+        raise AssertionError("candidates enumerated before the size check")
+
+    monkeypatch.setattr(search, "combinations_with_replacement", enumerated)
+    for argv in (["search", "--family", "irr4", "--r", "1000"], ["search", "--family", "reg16"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["status"] == "error"
 
 
 def test_missing_required_flag(capsys):

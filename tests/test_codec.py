@@ -20,15 +20,30 @@ from polarrep.codec import (
     monte_carlo,
     oracle_spec,
     sc_decode,
+    synthetic_erasure_ratios,
     synthetic_erasure_values,
     synthetic_polynomials,
 )
 from polarrep.effective_channels import assignment_erasures
 from polarrep.patterns import PatternAssignment, family_by_name, regular_family
 from polarrep.poly import EPS
+from polarrep.search import enumerate_assignments
 
 REG2 = family_by_name("reg2")
 A01 = PatternAssignment([0, 1])
+
+RATIO_EPS = [F(0), F(1), F(1, 2), F(1, 3), F(2, 5), F(1, 6), F(5, 7)]
+
+
+def fraction_design_values(per_subword, levels, eps):
+    """Reference design erasures: the inner maps applied to ``Fraction``s."""
+    values = []
+    for z in per_subword:
+        level = [z.evaluate(eps)]
+        for _ in range(levels):
+            level = [w for v in level for w in (2 * v - v * v, v * v)]
+        values += level
+    return values
 
 
 class TestDesignCode:
@@ -72,6 +87,50 @@ class TestDesignCode:
             design_code(2, 1, A01, 2, 1, REG2)
         with pytest.raises(ValueError):
             design_code(2, 1, A01, F(1, 2), 5, REG2)
+
+    @pytest.mark.parametrize(
+        "name, indices, m",
+        [
+            ("reg2", [0, 1], 5),
+            ("reg2", [1, 1], 4),
+            ("reg4", [0, 3, 3, 3], 5),
+            ("reg4", [1, 2, 3, 3], 4),
+            ("irr4", [2, 5, 7, 7], 5),
+            ("irr4", [0, 3, 6, 7], 4),
+            ("reg8", [0, 1, 2, 3, 4, 5, 6, 7], 5),
+            ("reg8", [0, 0, 3, 5, 5, 6, 7, 7], 4),
+        ],
+    )
+    def test_ratios_are_the_reduced_fractions(self, name, indices, m):
+        family = family_by_name(name)
+        assignment = PatternAssignment(indices)
+        t = family.size.bit_length() - 1
+        per = assignment_erasures(assignment, family).per_subword
+        for eps in RATIO_EPS:
+            expected = fraction_design_values(per, m - t, eps)
+            ratios = synthetic_erasure_ratios(per, m - t, eps)
+            assert ratios == [(v.numerator, v.denominator) for v in expected]
+            assert all(math.gcd(n, d) == 1 for n, d in ratios)
+            spec = design_code(m, t, assignment, eps, 1 << (m - 1), family)
+            assert spec.design_ratios == tuple(ratios)
+            assert spec.design_erasures == tuple(expected)
+
+    @pytest.mark.parametrize(
+        "name, stride", [("reg2", 1), ("reg4", 1), ("irr4", 23)]
+    )
+    def test_frozen_sets_match_fraction_ranking(self, name, stride):
+        family = family_by_name(name)
+        t = family.size.bit_length() - 1
+        for assignment in enumerate_assignments(family, family.size)[::stride]:
+            per = assignment_erasures(assignment, family).per_subword
+            for m in sorted({t, 5, 8}):
+                n = 1 << m
+                # eps = 0 ties every bit, so the index alone decides.
+                for eps, k in ((F(0), n // 4), (F(1, 2), n // 2 + 1), (F(5, 7), 3 * n // 4)):
+                    values = fraction_design_values(per, m - t, eps)
+                    worst = sorted(range(n), key=lambda i: (values[i], i), reverse=True)
+                    spec = design_code(m, t, assignment, eps, k, family)
+                    assert spec.frozen == tuple(sorted(worst[: n - k]))
 
 
 class TestEncode:

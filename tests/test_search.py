@@ -7,12 +7,17 @@ import pytest
 
 from polarrep.effective_channels import assignment_erasures
 from polarrep.patterns import PatternAssignment, family_by_name
-from polarrep.search import DEFAULT_GRID, best_assignment, enumerate_assignments
+from polarrep import search
+from polarrep.search import (
+    DEFAULT_GRID,
+    best_assignment,
+    enumerate_assignments,
+)
 
 
 @pytest.mark.parametrize(
     "family,r,expected",
-    [("reg4", 4, 35), ("irr4", 4, 330), ("reg2", 2, 3)],
+    [("reg4", 4, 35), ("irr4", 4, 330), ("reg2", 2, 3), ("reg8", 8, 6435)],
 )
 def test_enumeration_counts(family, r, expected):
     fam = family_by_name(family)
@@ -20,6 +25,22 @@ def test_enumeration_counts(family, r, expected):
     assert len(assignments) == expected
     assert len(assignments) == comb(len(fam) + r - 1, r)
     assert assignments == sorted(assignments, key=lambda a: a.indices)
+
+
+def test_size_checked_before_enumeration(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("candidates enumerated before the size check")
+
+    monkeypatch.setattr(search, "combinations_with_replacement", enumerated)
+    with pytest.raises(ValueError, match="differs from the kernel size 4"):
+        best_assignment(family_by_name("irr4"), r=1000)
+    with pytest.raises(ValueError, match="differs from the kernel size 2"):
+        best_assignment(family_by_name("reg2"), r=3)
+    reg16 = family_by_name("reg16")
+    with pytest.raises(ValueError, match="300540195 candidate assignments exceed"):
+        best_assignment(reg16)
+    with pytest.raises(ValueError, match="exceed"):
+        enumerate_assignments(reg16, 16)
 
 
 def test_two_block_winner():
