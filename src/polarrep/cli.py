@@ -42,12 +42,20 @@ from .proofcheck import certify_difference, certify_gain
 from .search import DEFAULT_GRID, best_assignment
 
 
+class _ZeroDenominator(Exception):
+    """A rational with a zero denominator.  Not a ``ValueError``, so argparse
+    lets it through from a type converter and ``main`` reports it as JSON."""
+
+
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise _ZeroDenominator(f"{text!r} has a zero denominator") from None
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",") if part]
+    return [_fraction(part) for part in text.split(",") if part]
 
 
 def _int_list(text: str) -> list[int]:
@@ -163,7 +171,7 @@ def cmd_prove(args) -> int:
     certificates = []
     all_certified = True
     if args.custom is not None:
-        cert = certify_difference(Poly.from_strings(args.custom.split(",")))
+        cert = certify_difference(Poly([_fraction(c) for c in args.custom.split(",")]))
         certificates.append({"kind": "custom", **cert.to_json_dict()})
         all_certified &= cert.certified
     for t in args.t or []:
@@ -327,7 +335,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--family", default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--no-certify", action="store_true",
-                   help="skip the Sturm dominance certificate")
+                   help="skip the dominance certificate (Budan's 0-1 test, "
+                        "then a Sturm count only where sign variations remain)")
     _add_common(p)
     p.set_defaults(func=cmd_search)
 
@@ -399,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
             defaults = {k.replace("-", "_"): v for k, v in config.items()}
         args = build_parser(defaults).parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, _ZeroDenominator) as exc:
         sys.stderr.write(json.dumps({"status": "error", "reason": str(exc)}) + "\n")
         return 1
 

@@ -44,7 +44,9 @@ class EffectiveChannelSet:
 
     ``capacity_poly`` is the achievable rate per channel use per
     transmission: (sum of per-sub-codeword capacities) / r**2, the r**2
-    accounting for both the r sub-codewords and the r transmissions.
+    accounting for both the r sub-codewords and the r transmissions.  It is
+    stored as the integer polynomial r - sum(z) over the one denominator
+    r**2, reduced by their common factor.
     """
 
     r: int

@@ -1,12 +1,18 @@
 """Machine-checkable certificates for the scheme's capacity inequalities.
 
-A certificate has three ingredients, each exact: the difference polynomial's
-values at the interval endpoints, the number of its distinct real roots in
-the open interval (0, 1) counted by a Sturm chain, and its sign at one
-interior sample.  Zero roots plus a strict interior sign proves a strict
-inequality on all of (0, 1); endpoint values document where the difference
-degenerates.  Refutation is a first-class outcome so the same tooling can
-honestly evaluate patterns that do not beat plain repetition.
+A gain certificate has three ingredients, each exact: the difference
+polynomial's values at the interval endpoints, the number of its distinct
+real roots in the open interval (0, 1) counted by a Sturm chain (the chain is
+the witness), and its sign at one interior sample.  Zero roots plus a strict
+interior sign proves a strict inequality on all of (0, 1); endpoint values
+document where the difference degenerates.  Refutation is a first-class
+outcome so the same tooling can honestly evaluate patterns that do not beat
+plain repetition.
+
+A dominance check needs a verdict, not a witness.  It tries Budan's 0-1 test
+first (Descartes' rule of signs after one integer Taylor shift), whose zero
+sign variations already prove there is no root in (0, 1), and builds a Sturm
+chain only when variations remain.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .effective_channels import regular_block_erasures
-from .poly import EPS, Poly, SturmSequence, count_roots_in
+from .poly import EPS, Poly, SturmSequence, budan_variations, count_roots_in
 
 
 @dataclass(frozen=True)
@@ -155,8 +161,14 @@ def certify_dominance(pa: Poly, pb: Poly, sample: Fraction = Fraction(1, 2)) -> 
     ``refuted`` otherwise, including for identical polynomials.  No root
     inside plus a positive sample forces both endpoint values to be >= 0, so
     the endpoints need no check of their own.
+
+    The sample sign is checked first, then Budan's 0-1 test: zero sign
+    variations prove there is no root in (0, 1), and only when variations
+    remain does a Sturm chain count the roots.
     """
     d = pa - pb
-    if d.is_zero() or count_roots_in(d, 0, 1) != 0 or d.evaluate(sample) <= 0:
+    if d.is_zero() or d.evaluate(sample) <= 0:
         return "refuted"
-    return "certified"
+    if budan_variations(d) == 0 or count_roots_in(d, 0, 1) == 0:
+        return "certified"
+    return "refuted"

@@ -2,11 +2,14 @@
 
 The number of candidate assignments is the number of multisets of size r
 over the family indices: C(|family| + r - 1, r).  Capacities are evaluated
-exactly (rational arithmetic) on a grid of erasure probabilities; the winner
+exactly on a grid of erasure probabilities (one integer Horner pass per
+point, over the capacity's one denominator); the winner
 is the assignment that maximizes capacity at every grid point simultaneously
 when such an assignment exists, and otherwise the one winning the most grid
-points.  A Sturm-based dominance certificate against every other candidate
-can be requested on top of the grid comparison.
+points.  A dominance certificate against every other candidate can be
+requested on top of the grid comparison: each difference is settled by
+Budan's 0-1 test, with a Sturm root count only where sign variations remain
+(``proofcheck.certify_dominance``).
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def best_assignment(
     """Exhaustive capacity search over all assignments of size r.
 
     Ties on grid wins break toward the lexicographically smallest canonical
-    multiset, so reports are reproducible.  ``certify`` asks for the Sturm
+    multiset, so reports are reproducible.  ``certify`` asks for the
     dominance certificate against every other candidate.  It is attempted
     only when the winner maximizes capacity at every grid point: otherwise
     some difference is negative at a grid point, so it is negative at the

@@ -198,6 +198,16 @@ def test_config_file_defaults(tmp_path, capsys):
                       "--design-eps", "1/2"], "got 2", id="simulate-eps2"),
         pytest.param(["--config", "no-such-config.json", "analyze"], "no-such-config.json",
                      id="missing-config"),
+        pytest.param(["simulate", "--r", "2", "--m", "2", "--assign", "0,1", "--eps", "1/0"],
+                     "zero denominator", id="eps-zero-denominator"),
+        pytest.param(["simulate", "--r", "2", "--m", "2", "--assign", "0,1",
+                      "--design-eps", "1/0"], "zero denominator", id="design-eps-zero-denominator"),
+        pytest.param(["analyze", "--family", "reg2", "--assign", "0,1", "--grid", "1/2,1/0"],
+                     "zero denominator", id="grid-zero-denominator"),
+        pytest.param(["prove", "--t", "1", "--sample", "1/0"], "zero denominator",
+                     id="sample-zero-denominator"),
+        pytest.param(["prove", "--custom", "1,2/0"], "zero denominator",
+                     id="custom-zero-denominator"),
     ],
 )
 def test_bad_family_fails_cleanly(capsys, argv, reason):

@@ -6,13 +6,14 @@ import pytest
 
 from polarrep.effective_channels import assignment_erasures, coded_repetition_scheme
 from polarrep.patterns import PatternAssignment, family_by_name
-from polarrep.poly import EPS, Poly
+from polarrep.poly import EPS, Poly, count_roots_in
 from polarrep.proofcheck import (
     certify_difference,
     certify_dominance,
     certify_gain,
     endpoint_certificates,
 )
+from polarrep.search import enumerate_assignments
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -108,3 +109,43 @@ class TestDominance:
         # verdict beyond certified/refuted is needed for endpoint signs.
         d = Poly([0, F(5, 2), -3])  # 5/2 eps - 3 eps^2: negative at 1
         assert certify_dominance(d, Poly.zero()) == "refuted"
+
+
+def _sturm_only_dominance(pa, pb, sample=F(1, 2)):
+    """Reference verdict from the Sturm root count alone."""
+    d = pa - pb
+    if d.is_zero() or count_roots_in(d, 0, 1) != 0 or d.evaluate(sample) <= 0:
+        return "refuted"
+    return "certified"
+
+
+def _capacities(name):
+    fam = family_by_name(name)
+    return {
+        a.indices: assignment_erasures(a, fam).capacity_poly
+        for a in enumerate_assignments(fam, fam.size)
+    }
+
+
+def test_dominance_matches_sturm_on_irr4_against_winner():
+    caps = _capacities("irr4")
+    best = caps[(2, 5, 7, 7)]
+    verdicts = []
+    for c in caps.values():
+        for pa, pb in ((best, c), (c, best)):
+            verdict = certify_dominance(pa, pb)
+            assert verdict == _sturm_only_dominance(pa, pb)
+            verdicts.append(verdict)
+    assert verdicts.count("certified") == len(caps) - 1
+
+
+def test_dominance_matches_sturm_on_reg4_pairs():
+    caps = list(_capacities("reg4").values())
+    certified = 0
+    for pa in caps:
+        for pb in caps:
+            if pa is not pb:
+                verdict = certify_dominance(pa, pb)
+                assert verdict == _sturm_only_dominance(pa, pb)
+                certified += verdict == "certified"
+    assert 0 < certified < len(caps) * (len(caps) - 1)

@@ -7,7 +7,8 @@ import pytest
 
 from polarrep.effective_channels import assignment_erasures
 from polarrep.patterns import PatternAssignment, family_by_name
-from polarrep import search
+from polarrep import poly, search
+from polarrep.proofcheck import certify_gain
 from polarrep.search import (
     DEFAULT_GRID,
     best_assignment,
@@ -65,6 +66,22 @@ def test_four_block_irregular_winner_dominates():
     for i in range(len(report.grid)):
         assert best[i] == max(c[i] for c in caps.values())
     assert report.dominance_certified
+
+
+def test_irregular_dominance_builds_no_sturm_chain(monkeypatch):
+    built = []
+    init = poly.SturmSequence.__init__
+
+    def counted(self, p):
+        built.append(p.degree)
+        init(self, p)
+
+    monkeypatch.setattr(poly.SturmSequence, "__init__", counted)
+    report = best_assignment(family_by_name("irr4"))
+    assert report.dominance_certified
+    assert built == []  # Budan's 0-1 test settled all 329 differences
+    certify_gain(1)  # the counter does see a chain when one is built
+    assert built == [3]
 
 
 def test_best_beats_pure_repetition_everywhere():
