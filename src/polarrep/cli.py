@@ -28,6 +28,7 @@ from fractions import Fraction
 from .codec import (
     compare_oracle_with_analysis,
     design_code,
+    erasure_probability,
     monte_carlo,
     synthetic_erasure_ratios,
 )
@@ -280,6 +281,8 @@ def cmd_simulate(args) -> int:
         return 0
     m = args.m
     k = args.k if args.k is not None else (1 << m) // 2
+    # --eps also names the design point by default: check it as itself first.
+    erasure_probability(args.eps)
     design_eps = args.design_eps if args.design_eps is not None else args.eps
     spec = design_code(m, t, assignment, design_eps, k, family)
     report = monte_carlo(spec, args.eps, args.trials, seed=args.seed)

@@ -17,11 +17,15 @@ message comes from one of three op sets: ``_Values`` for ``sc_decode``,
 
 Because erasure propagation does not depend on the transmitted values, the
 per-bit behavior of this decoder is a deterministic function of the erasure
-pattern.  ``erasure_flow`` evaluates that function for whole batches of
-patterns at once; the brute-force oracle feeds it every pattern of a short
-code to get exact per-bit erasure polynomials, and the Monte Carlo driver
-feeds it sampled patterns.  The oracle is the ground truth the design
-analysis in :mod:`polarrep.effective_channels` is compared against.
+pattern.  Every flag combine is an AND or an OR, so the flow runs
+bit-sliced: 64 patterns share one ``uint64`` word, bit s of word w holding
+pattern 64w + s, and one walk decides all of them.  ``erasure_flow``
+evaluates that function for whole batches of patterns at once; the
+brute-force oracle feeds it every pattern of a short code to get exact
+per-bit erasure polynomials, and the Monte Carlo driver packs sampled
+patterns straight into words and counts failures by popcount.  The oracle
+is the ground truth the design analysis in
+:mod:`polarrep.effective_channels` is compared against.
 """
 
 from __future__ import annotations
@@ -51,8 +55,14 @@ from .poly import EPS, Poly
 #: first one refused.
 ORACLE_MAX_BITS = 16
 
-#: Symbols drawn per Monte Carlo chunk (32 MB of float64), in whole trials.
-MC_CHUNK_DRAWS = 1 << 22
+#: Largest m the exact design accepts: the numerators double in bits per
+#: inner level, and m=15 already takes about 17 s and 600 MB.
+MAX_DESIGN_M = 15
+
+#: Symbols drawn per Monte Carlo chunk (8 MB of float64), in whole words of
+#: 64 trials and at least one word; the flow runs on batches of up to this
+#: many packed words, so memory stays bounded whatever the trial count.
+MC_CHUNK_DRAWS = 1 << 20
 
 
 class DecodeFailure(Exception):
@@ -189,8 +199,11 @@ def design_code(
     and the worst 2**m - k are frozen; at equal erasure the larger index is
     frozen first, so constructions are deterministic.  The ranking compares
     integers: each numerator brought over the least common denominator.
-    The ratios are kept on the spec as ``design_ratios``.
+    The ratios are kept on the spec as ``design_ratios``.  m is at most
+    ``MAX_DESIGN_M``.
     """
+    if m > MAX_DESIGN_M:
+        raise ValueError(f"m={m} exceeds the exact design bound MAX_DESIGN_M={MAX_DESIGN_M}")
     if not 0 <= t <= m:
         raise ValueError(f"need 0 <= t <= m, got t={t}, m={m}")
     if not 0 <= k <= (1 << m):
@@ -388,9 +401,9 @@ def _inner_flags(msgs: np.ndarray) -> list[np.ndarray]:
 
 
 class _Flags:
-    """Messages are boolean erasure masks, rows first, then (batch, width);
-    values are never needed because erasure propagation does not depend on
-    them, so interference removal leaves a mask unchanged."""
+    """Messages are bit-packed erasure masks, rows first, then (words,
+    width); values are never needed because erasure propagation does not
+    depend on them, so interference removal leaves a mask unchanged."""
 
     def merge(self, msgs):
         return functools.reduce(operator.and_, msgs)
@@ -405,6 +418,29 @@ class _Flags:
         return _inner_flags(msg[0])
 
 
+def _pack(erased: np.ndarray) -> np.ndarray:
+    """Boolean (batch, symbols) patterns as ``uint64`` (words, symbols): bit
+    s of word w is pattern 64w + s.  Padding patterns are all zero, and an
+    unerased pattern flags nothing, so they never count as failures."""
+    batch, n_sym = erased.shape
+    words = -(-batch // 64)
+    if batch % 64:
+        erased = np.concatenate([erased, np.zeros((words * 64 - batch, n_sym), dtype=bool)])
+    lanes = erased.reshape(words, 64, n_sym)
+    packed = np.zeros((words, n_sym), dtype=np.uint64)
+    for s in range(64):
+        packed |= lanes[:, s].astype(np.uint64) << np.uint64(s)
+    return packed
+
+
+def _flow_words(spec: CodeSpec, packed: np.ndarray) -> np.ndarray:
+    """Per-bit erasure flags of packed patterns: ``uint64`` (words,
+    total_len) in, (words, 2**m) out, lanes as in ``_pack``."""
+    rows = packed.reshape(len(packed), -1, spec.inner_len).transpose(1, 0, 2)
+    leaves = _walk(_carriers(spec, rows), _Flags())
+    return np.stack([f for leaf in leaves for f in leaf], axis=1)
+
+
 def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
     """Genie-aided per-bit erasure flags for a batch of erasure patterns.
 
@@ -416,9 +452,10 @@ def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
     batch, n_sym = erased.shape
     if n_sym != spec.total_len:
         raise ValueError(f"expected {spec.total_len} symbols, got {n_sym}")
-    rows = erased.reshape(batch, -1, spec.inner_len).transpose(1, 0, 2)
-    leaves = _walk(_carriers(spec, rows), _Flags())
-    return np.stack([f for leaf in leaves for f in leaf], axis=1)
+    flags = _flow_words(spec, _pack(erased))
+    shifts = np.arange(64, dtype=np.uint64)[:, None]
+    bits = (flags[:, None, :] >> shifts) & np.uint64(1)
+    return bits.astype(bool).reshape(-1, spec.n)[:batch]
 
 
 # -- operation count ---------------------------------------------------------
@@ -530,6 +567,15 @@ class SimReport:
         }
 
 
+def erasure_probability(eps: Fraction | float | str) -> Fraction:
+    """The channel erasure probability as an exact fraction (a float by its
+    decimal text); raises ``ValueError`` outside [0, 1]."""
+    eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+    if not 0 <= eps <= 1:
+        raise ValueError(f"erasure probability must lie in [0, 1], got {eps}")
+    return eps
+
+
 def monte_carlo(
     spec: CodeSpec,
     eps: Fraction | float | str,
@@ -540,30 +586,43 @@ def monte_carlo(
 
     Rates are reported for every u-bit; the block error rate counts trials
     where any unfrozen bit was undecodable.  Results are independent of the
-    transmitted values and deterministic given the seed: draws come from one
-    stream in trial order, so the chunk size (``MC_CHUNK_DRAWS`` symbols,
-    whole trials) does not change them.
+    transmitted values and deterministic given the seed: each chunk of
+    ``MC_CHUNK_DRAWS`` symbols, in whole words of 64 trials, is drawn into
+    one reused float64 buffer with ``rng.random(out=...)``, which yields the
+    same doubles in the same trial order as one ``rng.random((trials,
+    total_len))``, so the chunking changes no result.  Chunks are packed 64
+    trials per word, the flow runs once per batch of up to
+    ``MC_CHUNK_DRAWS`` words, and failures are counted by popcount.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
-    if not 0 <= eps <= 1:
-        raise ValueError(f"erasure probability must lie in [0, 1], got {eps}")
+    eps = erasure_probability(eps)
     rng = np.random.default_rng(seed)
     info = list(spec.info_positions)
     bit_fail = np.zeros(spec.n, dtype=np.int64)
     block_fail = 0
-    remaining = trials
     p = float(eps)
-    rows = max(1, MC_CHUNK_DRAWS // spec.total_len)
-    while remaining:
-        size = min(rows, remaining)
-        erased = rng.random((size, spec.total_len)) < p
-        flags = erasure_flow(spec, erased)
-        bit_fail += flags.sum(axis=0)
+    n_sym = spec.total_len
+    chunk = 64 * max(1, MC_CHUNK_DRAWS // n_sym // 64)
+    per_batch = 64 * max(1, MC_CHUNK_DRAWS // n_sym)
+    # Allocated once, so memory does not grow with the number of batches.
+    words = np.empty((-(-min(per_batch, trials) // 64), n_sym), dtype=np.uint64)
+    draws = np.empty((min(chunk, trials), n_sym))
+    erased = np.empty(draws.shape, dtype=bool)
+    done = 0
+    while done < trials:
+        batch = min(per_batch, trials - done)
+        for start in range(0, batch, chunk):
+            size = min(chunk, batch - start)
+            rng.random(out=draws[:size])
+            np.less(draws[:size], p, out=erased[:size])
+            words[start // 64 : -(-(start + size) // 64)] = _pack(erased[:size])
+        flags = _flow_words(spec, words[: -(-batch // 64)])
+        bit_fail += np.bitwise_count(flags).sum(axis=0, dtype=np.int64)
         if info:
-            block_fail += int(flags[:, info].any(axis=1).sum())
-        remaining -= size
+            failed = np.bitwise_or.reduce(flags[:, info], axis=1)
+            block_fail += int(np.bitwise_count(failed).sum(dtype=np.int64))
+        done += batch
     ops_each = decode_operation_count(spec)
     return SimReport(
         spec=spec,

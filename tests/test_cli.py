@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarrep import search
+from polarrep import codec, search
 from polarrep.cli import _decimal, _exact, main
 from polarrep.codec import synthetic_erasure_values
 from polarrep.effective_channels import assignment_erasures
@@ -196,6 +196,9 @@ def test_config_file_defaults(tmp_path, capsys):
                      "not a power of two", id="simulate-r3"),
         pytest.param(["simulate", "--r", "2", "--m", "2", "--assign", "0,1", "--eps", "2",
                       "--design-eps", "1/2"], "got 2", id="simulate-eps2"),
+        pytest.param(["simulate", "--r", "2", "--m", "2", "--assign", "0,1", "--eps", "3/2"],
+                     "erasure probability must lie in [0, 1], got 3/2",
+                     id="simulate-eps-is-design-point"),
         pytest.param(["--config", "no-such-config.json", "analyze"], "no-such-config.json",
                      id="missing-config"),
         pytest.param(["simulate", "--r", "2", "--m", "2", "--assign", "0,1", "--eps", "1/0"],
@@ -243,6 +246,19 @@ def test_search_size_checked_before_enumeration(monkeypatch, capsys):
         assert code == 1
         assert captured.out == ""
         assert json.loads(captured.err)["status"] == "error"
+
+
+def test_simulate_size_checked_before_design(monkeypatch, capsys):
+    def evaluated(*args):
+        raise AssertionError("design erasures evaluated before the size check")
+
+    monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+    code = main(["simulate", "--family", "irr4", "--m", "16", "--assign", "2,5,7,7"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "exceeds the exact design bound" in json.loads(captured.err)["reason"]
 
 
 def test_missing_required_flag(capsys):

@@ -80,6 +80,21 @@ class TestDesignCode:
         expected = sorted([j * 8 + i for j in range(2) for i in worst])
         assert list(spec.frozen) == expected
 
+    def test_size_checked_before_design(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def evaluated(*args):
+            raise Reached
+
+        monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+        irr4 = family_by_name("irr4")
+        assignment = PatternAssignment([2, 5, 7, 7])
+        with pytest.raises(Reached):
+            design_code(codec.MAX_DESIGN_M, 2, assignment, F(1, 2), 1, irr4)
+        with pytest.raises(ValueError, match="exceeds the exact design bound"):
+            design_code(codec.MAX_DESIGN_M + 1, 2, assignment, F(1, 2), 1, irr4)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             design_code(1, 2, A01, F(1, 2), 1, REG2)
@@ -205,18 +220,30 @@ class TestScDecode:
             # Partially frozen: the decoder stops at the first flagged info bit.
             design_code(4, 2, PatternAssignment([2, 5, 7, 7]), F(1, 2), 7, irr4),
         ]
+
+        def check(spec, pattern, flags):
+            word = [None if e else 0 for e in pattern]
+            failing = [i for i in spec.info_positions if flags[i]]
+            if failing:
+                with pytest.raises(DecodeFailure) as err:
+                    sc_decode(spec, word)
+                assert err.value.bit_index == failing[0]
+            else:
+                assert sc_decode(spec, word) == [0] * spec.k
+
         for spec in specs:
             for _ in range(60):
                 pattern = [rng.random() < 0.4 for _ in range(spec.total_len)]
-                flags = erasure_flow(spec, np.array([pattern]))[0]
-                word = [None if e else 0 for e in pattern]
-                failing = [i for i in spec.info_positions if flags[i]]
-                if failing:
-                    with pytest.raises(DecodeFailure) as err:
-                        sc_decode(spec, word)
-                    assert err.value.bit_index == failing[0]
-                else:
-                    assert sc_decode(spec, word) == [0] * spec.k
+                check(spec, pattern, erasure_flow(spec, np.array([pattern]))[0])
+            # Stacks that fill 64-pattern words partly, exactly and past one.
+            for batch in (1, 63, 64, 65, 129):
+                patterns = np.array(
+                    [[rng.random() < 0.4 for _ in range(spec.total_len)] for _ in range(batch)]
+                )
+                flags = erasure_flow(spec, patterns)
+                assert flags.shape == (batch, spec.n) and flags.dtype == bool
+                for pattern, row in zip(patterns, flags):
+                    check(spec, pattern, row)
 
 
 class TestOracle:
@@ -285,6 +312,24 @@ class TestMonteCarlo:
         assert silent.block_error_rate == 0
         deaf = monte_carlo(spec, 1, 50, seed=1)
         assert set(deaf.per_bit_rates) == {1.0}
+        # 65 trials fill one 64-trial word and one bit of the next: the
+        # padding trials must never count as failures.
+        deaf = monte_carlo(spec, 1, 65)
+        assert set(deaf.per_bit_rates) == {1.0}
+        assert deaf.block_error_rate == 1.0
+
+    def test_random_stream_pin(self):
+        # Counts pinned before the bit-sliced flow, so a changed stream or
+        # comparison shows up here and not only across versions.
+        irr4 = family_by_name("irr4")
+        spec = design_code(6, 2, PatternAssignment([2, 5, 7, 7]), F(3, 5), 32, irr4)
+        trials = 1001
+        report = monte_carlo(spec, F(3, 5), trials, seed=11)
+        counts = [round(rate * trials) for rate in report.per_bit_rates]
+        assert report.per_bit_rates == tuple(c / trials for c in counts)
+        assert sum(counts) == 6852
+        assert counts[:8] == [982, 687, 599, 131, 422, 46, 34, 0]
+        assert report.block_error_rate == 13 / trials
 
     def test_deterministic_given_seed(self, monkeypatch):
         spec = design_code(4, 1, A01, F(1, 2), 8, REG2)
@@ -292,9 +337,12 @@ class TestMonteCarlo:
         b = monte_carlo(spec, F(1, 2), 4000, seed=42)
         assert a.per_bit_rates == b.per_bit_rates
         assert a.block_error_rate == b.block_error_rate
-        # Chunks of 1500, 1500 and 1000 trials draw the same stream.
-        monkeypatch.setattr(codec, "MC_CHUNK_DRAWS", 1500 * spec.total_len)
-        assert monte_carlo(spec, F(1, 2), 4000, seed=42) == a
+        # The same stream in chunks of 1472, 1472 and 1056 trials under one
+        # flow batch, and in 64-trial chunks under flow batches of 1280,
+        # 1280, 1280 and 160 trials.
+        for draws in (1500, 20):
+            monkeypatch.setattr(codec, "MC_CHUNK_DRAWS", draws * spec.total_len)
+            assert monte_carlo(spec, F(1, 2), 4000, seed=42) == a
 
     def test_rates_match_design_three_sigma(self):
         spec = design_code(5, 1, A01, F(1, 2), 16, REG2)
