@@ -281,8 +281,13 @@ def cmd_simulate(args) -> int:
         return 0
     m = args.m
     k = args.k if args.k is not None else (1 << m) // 2
-    # --eps also names the design point by default: check it as itself first.
+    # Check the run's own inputs before the design, which can take seconds;
+    # --eps also names the design point by default, so it is checked as itself.
     erasure_probability(args.eps)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     design_eps = args.design_eps if args.design_eps is not None else args.eps
     spec = design_code(m, t, assignment, design_eps, k, family)
     report = monte_carlo(spec, args.eps, args.trials, seed=args.seed)

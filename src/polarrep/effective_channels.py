@@ -15,7 +15,9 @@ they can be cross-checked:
   bakes into its odd-child map).  This reproduces the closed-form
   effective-channel expressions of the best known patterns and reduces to
   the exact decoder analysis for two repetitions and for pure-repetition
-  assignments.
+  assignments.  Each factor depends only on (kernel, multiplicity,
+  sub-codeword), so it is computed once (``_design_factor``) and shared by
+  every assignment and by the search's grid ranking.
 * ``reference_expression_set`` -- fixed transcriptions of the known
   closed-form effective-channel expressions for the best four-repetition
   patterns, kept as a golden reference.
@@ -29,7 +31,9 @@ weight for four.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Callable
 
@@ -153,6 +157,30 @@ def _factor(rows: Matrix, z: Poly, k: int, check: Callable[[Poly], Poly]) -> Pol
     return _factor(b, z * z if e else z, k - h, check)
 
 
+@cache
+def _design_factor(rows: Matrix, mult: int, k: int) -> Poly:
+    """Factor of sub-codeword k contributed by ``mult`` blocks of one kernel.
+
+    It depends only on (rows, mult, k), so every candidate of a search reads
+    one table: reg8's 6,435 candidates need at most 512 entries.
+    """
+    if mult == 1:
+        return _factor(rows, EPS, k, _lone_check)
+    return _factor(rows, EPS**mult, k, _merged_check)
+
+
+def _kernel_groups(
+    assignment: PatternAssignment, family: PatternFamily
+) -> tuple[tuple[Matrix, int], ...]:
+    """The assignment's distinct kernels, each with its number of blocks."""
+    kernels = assignment.kernels(family)
+    if assignment.r != family.size:
+        raise ValueError(
+            f"assignment has {assignment.r} blocks but kernels have size {family.size}"
+        )
+    return tuple(Counter(kern.rows for kern in kernels).items())
+
+
 def assignment_erasures(
     assignment: PatternAssignment, family: PatternFamily
 ) -> EffectiveChannelSet:
@@ -162,25 +190,15 @@ def assignment_erasures(
     the kernel size), which is the standard shape where every block carries
     one combination of all sub-codewords.  Blocks are grouped by kernel;
     each distinct kernel contributes one multiplicative factor per
-    sub-codeword, with repeated kernels fused into a repetition-boosted
-    single block.
+    sub-codeword (``_design_factor``), with repeated kernels fused into a
+    repetition-boosted single block.
     """
-    kernels = assignment.kernels(family)
-    if assignment.r != family.size:
-        raise ValueError(
-            f"assignment has {assignment.r} blocks but kernels have size {family.size}"
-        )
-    groups: dict[Matrix, int] = {}
-    for kern in kernels:
-        groups[kern.rows] = groups.get(kern.rows, 0) + 1
+    groups = _kernel_groups(assignment, family)
     per = []
     for k in range(family.size):
         acc = ONE
-        for rows, mult in groups.items():
-            if mult == 1:
-                acc = acc * _factor(rows, EPS, k, _lone_check)
-            else:
-                acc = acc * _factor(rows, EPS**mult, k, _merged_check)
+        for rows, mult in groups:
+            acc = acc * _design_factor(rows, mult, k)
         per.append(acc)
     return _make_set(tuple(per))
 

@@ -184,19 +184,25 @@ class Poly:
             acc[0] += c * epow
         return _poly(acc, self.den * epow)
 
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        """Exact value at x = p/q: the integer sum of n_i p**i q**(n - i),
-        by one homogeneous Horner pass, over den * q**n."""
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
+    def horner(self, p: int, q: int) -> int:
+        """The integer sum of n_i p**i q**(n - i), n the degree, by one
+        homogeneous Horner pass: the value at p/q times den * q**n."""
         if not self.num:
-            return Fraction(0)
+            return 0
         acc = self.num[-1]
         qpow = 1
         for c in reversed(self.num[:-1]):
             qpow *= q
             acc = acc * p + c * qpow
-        return Fraction(acc, self.den * qpow)
+        return acc
+
+    def evaluate(self, x: Fraction | int) -> Fraction:
+        """Exact value at x = p/q: ``horner(p, q)`` over den * q**n."""
+        x = Fraction(x)
+        if not self.num:
+            return Fraction(0)
+        q = x.denominator
+        return Fraction(self.horner(x.numerator, q), self.den * q ** self.degree)
 
     def derivative(self) -> "Poly":
         return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)

@@ -2,14 +2,19 @@
 
 The number of candidate assignments is the number of multisets of size r
 over the family indices: C(|family| + r - 1, r).  Capacities are evaluated
-exactly on a grid of erasure probabilities (one integer Horner pass per
-point, over the capacity's one denominator); the winner
-is the assignment that maximizes capacity at every grid point simultaneously
-when such an assignment exists, and otherwise the one winning the most grid
-points.  A dominance certificate against every other candidate can be
-requested on top of the grid comparison: each difference is settled by
-Budan's 0-1 test, with a Sturm root count only where sign variations remain
-(``proofcheck.certify_dominance``).
+exactly on a grid of erasure probabilities, from one table of design factors
+(``effective_channels._design_factor``): each factor is evaluated once per
+grid point by an integer Horner pass, and every candidate's capacity there is
+an integer numerator over the point's one denominator.  Maxima, grid wins and
+the ranking's order are read from these integers; ``Fraction``s are built
+only for the report.  The winner is the assignment that maximizes capacity
+at every grid point simultaneously when such an assignment exists, and
+otherwise the one winning the most grid points.  A dominance certificate
+against every other candidate can be requested on top of the grid
+comparison: each difference is settled by Budan's 0-1 test, with a Sturm
+root count only where sign variations remain
+(``proofcheck.certify_dominance``).  Capacity polynomials are built only for
+the winner and for the candidates such a certificate checks.
 """
 
 from __future__ import annotations
@@ -17,10 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm, prod
 
-from .effective_channels import EffectiveChannelSet, assignment_erasures
-from .patterns import PatternAssignment, PatternFamily
+from .effective_channels import (
+    EffectiveChannelSet,
+    _design_factor,
+    _kernel_groups,
+    assignment_erasures,
+)
+from .patterns import Matrix, PatternAssignment, PatternFamily
 
 #: Largest candidate count a search enumerates: reg8 (6,435) fits, reg16
 #: (300,540,195) would not fit in memory.
@@ -82,6 +92,44 @@ def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignme
     ]
 
 
+def _grid_capacities(
+    groups: list[tuple[tuple[Matrix, int], ...]], r: int, grid: tuple[Fraction, ...]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Every candidate's capacity at every grid point, as integers.
+
+    Returns one tuple of numerators per candidate and one denominator per
+    point.  Each design factor is an integer polynomial, evaluated once per
+    point p/q by a homogeneous Horner pass and written over q**w, w the
+    largest degree among its kernel group's factors.  A candidate's erasure
+    at sub-codeword k is then the product of its groups' values, M_k, over
+    q**d with d the sum of their w, and with D the largest d over all
+    candidates its capacity (r - sum M_k / q**d) / r**2 is the integer
+    r q**D - q**(D - d) sum M_k over the point's r**2 q**D.
+    """
+    position: dict[tuple[Matrix, int], int] = {}
+    members = [[position.setdefault(key, len(position)) for key in g] for g in groups]
+    table = [[_design_factor(*key, k) for k in range(r)] for key in position]
+    widths = [max(f.degree for f in factors) for factors in table]
+    degrees = [sum(widths[i] for i in ids) for ids in members]
+    top = max(degrees)
+    columns = []
+    denominators = []
+    for x in grid:
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        values = [
+            [f.horner(p, q) * q ** (w - f.degree) for f in factors]
+            for factors, w in zip(table, widths)
+        ]
+        qpow = [q**i for i in range(top + 1)]
+        columns.append([
+            r * qpow[top] - qpow[top - d] * sum(map(prod, zip(*[values[i] for i in ids])))
+            for ids, d in zip(members, degrees)
+        ])
+        denominators.append(r * r * qpow[top])
+    return list(zip(*columns)), denominators
+
+
 def best_assignment(
     family: PatternFamily,
     r: int | None = None,
@@ -109,46 +157,40 @@ def best_assignment(
 
     candidates = enumerate_assignments(family, r)
     assert len(candidates) == comb(len(family) + r - 1, r)
+    groups = [_kernel_groups(a, family) for a in candidates]
+    numerators, denominators = _grid_capacities(groups, r, grid)
 
-    evaluated: list[tuple[PatternAssignment, EffectiveChannelSet, tuple[Fraction, ...]]] = []
-    for a in candidates:
-        channels = assignment_erasures(a, family)
-        caps = tuple(channels.capacity_poly.evaluate(g) for g in grid)
-        evaluated.append((a, channels, caps))
-
-    per_point_max = [max(caps[i] for _, _, caps in evaluated) for i in range(len(grid))]
-    dominant = [
-        (a, ch, caps)
-        for a, ch, caps in evaluated
-        if all(c == m for c, m in zip(caps, per_point_max))
-    ]
-    if dominant:
-        best, best_channels, _ = min(dominant, key=lambda item: item[0].indices)
-    else:
-        wins = {
-            a.indices: sum(c == m for c, m in zip(caps, per_point_max))
-            for a, _, caps in evaluated
-        }
-        best, best_channels, _ = min(
-            evaluated, key=lambda item: (-wins[item[0].indices], item[0].indices)
-        )
+    per_point_max = [max(column) for column in zip(*numerators)]
+    wins = [sum(c == m for c, m in zip(caps, per_point_max)) for caps in numerators]
+    # A dominant candidate wins every point, so it is preferred when one exists.
+    best_i = min(range(len(candidates)), key=lambda i: (-wins[i], candidates[i].indices))
+    best = candidates[best_i]
+    best_channels = assignment_erasures(best, family)
 
     certified = False
-    if certify and dominant:
+    if certify and wins[best_i] == len(grid):
         from .proofcheck import certify_dominance
 
         certified = all(
-            certify_dominance(best_channels.capacity_poly, ch.capacity_poly)
+            certify_dominance(
+                best_channels.capacity_poly, assignment_erasures(a, family).capacity_poly
+            )
             == "certified"
-            for a, ch, _ in evaluated
-            if a.indices != best.indices
+            for a in candidates
+            if a is not best
         )
 
+    # The sum of a candidate's capacities times r**2 * Q**D, Q the lcm of
+    # the grid denominators: an integer, so the ranking needs no Fraction.
+    q_lcm = lcm(*denominators)
+    weights = [q_lcm // d for d in denominators]
+    order = sorted(
+        range(len(candidates)),
+        key=lambda i: (-sum(c * w for c, w in zip(numerators[i], weights)), candidates[i].indices),
+    )
     ranking = tuple(
-        (a, caps)
-        for a, _, caps in sorted(
-            evaluated, key=lambda item: (-sum(item[2]), item[0].indices)
-        )
+        (candidates[i], tuple(Fraction(c, d) for c, d in zip(numerators[i], denominators)))
+        for i in order
     )
     return SearchReport(
         family_kind=family.kind,

@@ -261,6 +261,27 @@ def test_simulate_size_checked_before_design(monkeypatch, capsys):
     assert "exceeds the exact design bound" in json.loads(captured.err)["reason"]
 
 
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--trials", "-3"], "--trials must be at least 1, got -3"),
+        (["--seed", "-1"], "--seed must be non-negative, got -1"),
+    ],
+)
+def test_simulate_run_size_checked_before_design(monkeypatch, capsys, flags, reason):
+    def evaluated(*args):
+        raise AssertionError("design erasures evaluated before the run's inputs were checked")
+
+    monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+    code = main(["simulate", "--family", "irr4", "--m", "13", "--assign", "2,5,7,7", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["reason"] == reason
+
+
 def test_missing_required_flag(capsys):
     code = main(["analyze", "--family", "reg2"])
     assert code == 1

@@ -5,15 +5,18 @@ from math import comb
 
 import pytest
 
-from polarrep.effective_channels import assignment_erasures
+from polarrep.effective_channels import _design_factor, assignment_erasures
 from polarrep.patterns import PatternAssignment, family_by_name
 from polarrep import poly, search
-from polarrep.proofcheck import certify_gain
+from polarrep.proofcheck import certify_dominance, certify_gain
 from polarrep.search import (
     DEFAULT_GRID,
+    SearchReport,
     best_assignment,
     enumerate_assignments,
 )
+
+MIXED_GRID = (F(1, 3), F(2, 7), F(1, 2), F(9, 10))
 
 
 @pytest.mark.parametrize(
@@ -126,3 +129,87 @@ def test_report_serialization():
 
 def test_default_grid():
     assert DEFAULT_GRID == tuple(F(i, 20) for i in range(1, 20))
+
+
+def reference_search(family, grid, certify):
+    """The search from every candidate's capacity polynomial, evaluated as
+    Fractions: an independent check of the integer grid ranking."""
+    evaluated = []
+    for a in enumerate_assignments(family, family.size):
+        channels = assignment_erasures(a, family)
+        evaluated.append((a, channels, tuple(channels.capacity_poly.evaluate(g) for g in grid)))
+    top = [max(caps[i] for _, _, caps in evaluated) for i in range(len(grid))]
+    wins = {a: sum(c == m for c, m in zip(caps, top)) for a, _, caps in evaluated}
+    best, best_channels, _ = min(evaluated, key=lambda e: (-wins[e[0]], e[0].indices))
+    certified = certify and wins[best] == len(grid) and all(
+        certify_dominance(best_channels.capacity_poly, ch.capacity_poly) == "certified"
+        for a, ch, _ in evaluated
+        if a != best
+    )
+    ranking = tuple(
+        (a, caps) for a, _, caps in sorted(evaluated, key=lambda e: (-sum(e[2]), e[0].indices))
+    )
+    return SearchReport(
+        family_kind=family.kind,
+        r=family.size,
+        grid=grid,
+        candidates_evaluated=len(evaluated),
+        ranking=ranking,
+        best=best,
+        best_channels=best_channels,
+        dominance_certified=certified,
+    )
+
+
+@pytest.mark.parametrize("name", ["reg2", "reg4", "irr4"])
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, MIXED_GRID], ids=["default", "mixed"])
+@pytest.mark.parametrize("certify", [True, False])
+def test_matches_fraction_reference(name, grid, certify):
+    fam = family_by_name(name)
+    report = best_assignment(fam, grid=grid, certify=certify)
+    assert report == reference_search(fam, grid, certify)
+    # reg4 has no dominant winner on the default grid, irr4 has one.
+    if grid == DEFAULT_GRID and certify:
+        assert report.dominance_certified == (name != "reg4")
+
+
+def test_reg8_ranking_pin():
+    report = best_assignment(family_by_name("reg8"), certify=False)
+    assert report.candidates_evaluated == 6435
+    assert report.best.indices == (0, 7, 7, 7, 7, 7, 7, 7)
+    assert not report.dominance_certified
+    assert [a.indices for a, _ in report.ranking[:3]] == [
+        (0, 7, 7, 7, 7, 7, 7, 7),
+        (0, 6, 7, 7, 7, 7, 7, 7),
+        (2, 4, 7, 7, 7, 7, 7, 7),
+    ]
+    top = [max(caps[i] for _, caps in report.ranking) for i in range(len(report.grid))]
+    best = report.ranking[0][1]
+    assert sum(c == m for c, m in zip(best, top)) == 10  # of 19: no candidate dominates
+
+
+def test_only_winner_polynomials_built_without_dominance(monkeypatch):
+    built = []
+
+    def counted(a, family):
+        built.append(a.indices)
+        return assignment_erasures(a, family)
+
+    monkeypatch.setattr(search, "assignment_erasures", counted)
+    report = best_assignment(family_by_name("reg4"))
+    assert report.best.indices == (0, 3, 3, 3)
+    assert built == [(0, 3, 3, 3)]
+    built.clear()
+    best_assignment(family_by_name("irr4"))
+    assert len(built) == 330  # the winner and the 329 dominance checks
+
+
+@pytest.mark.parametrize("name", ["reg2", "irr4", "reg8"])
+def test_design_factor_table(name):
+    fam = family_by_name(name)
+    for kern in (fam[0], fam[len(fam) // 2], fam[len(fam) - 1]):
+        for mult in (1, 2, fam.size):
+            for k in range(fam.size):
+                assert _design_factor(kern.rows, mult, k) == _design_factor.__wrapped__(
+                    kern.rows, mult, k
+                )
