@@ -7,16 +7,8 @@ oracle and Monte Carlo simulator.
 """
 
 from .channel_algebra import (
-    Bit,
-    Check,
-    Leaf,
-    Rep,
-    W,
     bit_combine,
-    capacity_at,
     check_combine,
-    expr_to_erasure_poly,
-    parse_channel_expr,
     repeat_channel,
     standard_synthetic_channel,
 )

@@ -8,19 +8,17 @@ bit combination yields ``a * b`` (the partner bit is known, so any surviving
 observation resolves the bit).  Repetition is the bit combination of a
 channel with itself.
 
-Channel expressions are small immutable trees over these transforms, used to
-transcribe closed-form effective-channel formulas and to drive the CLI.
+``standard_synthetic_channel`` composes the two maps into Arıkan's plain
+polarization of one channel; it is kept as an independent reference for the
+codec's inner recursion.  Closed-form effective-channel formulas, such as the
+golden references in :mod:`polarrep.effective_channels`, are written directly
+with these functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .poly import EPS, Poly
 
-
-# -- transforms on erasure polynomials -------------------------------------
 
 def check_combine(za: Poly, zb: Poly) -> Poly:
     """Erasure polynomial of the check (weaker) combination: za + zb - za*zb."""
@@ -57,141 +55,3 @@ def standard_synthetic_channel(m: int, i: int, base: Poly = EPS) -> Poly:
         else:
             z = z.scale(2) - z * z
     return z
-
-
-def capacity_at(z: Poly, eps: Fraction | int) -> Fraction:
-    """Capacity 1 - z(eps) of the erasure channel described by z."""
-    eps = Fraction(eps)
-    if not 0 <= eps <= 1:
-        raise ValueError(f"erasure probability must lie in [0, 1], got {eps}")
-    return 1 - z.evaluate(eps)
-
-
-# -- expression trees -------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChannelExpr:
-    """Base class for channel expression tree nodes."""
-
-    def to_erasure_poly(self) -> Poly:
-        return expr_to_erasure_poly(self)
-
-
-@dataclass(frozen=True)
-class Leaf(ChannelExpr):
-    """The raw channel with erasure probability eps."""
-
-
-@dataclass(frozen=True)
-class Check(ChannelExpr):
-    left: ChannelExpr
-    right: ChannelExpr
-
-
-@dataclass(frozen=True)
-class Bit(ChannelExpr):
-    left: ChannelExpr
-    right: ChannelExpr
-
-
-class Rep(ChannelExpr):
-    """r-fold repetition of a base channel.
-
-    Construction normalizes: a count of 1 returns the base expression itself
-    and nested repetitions flatten, so structurally equal channels compare
-    equal.
-    """
-
-    __slots__ = ("base", "count")
-
-    def __new__(cls, base: ChannelExpr, count: int):
-        if count < 1:
-            raise ValueError(f"repetition count must be >= 1, got {count}")
-        if isinstance(base, Rep):
-            count, base = count * base.count, base.base
-        if count == 1:
-            return base
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "base", base)
-        object.__setattr__(obj, "count", count)
-        return obj
-
-    def __init__(self, base: ChannelExpr, count: int):  # noqa: D401 - work done in __new__
-        pass
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Rep)
-            and self.base == other.base
-            and self.count == other.count
-        )
-
-    def __hash__(self) -> int:
-        return hash(("rep", self.base, self.count))
-
-    def __repr__(self) -> str:
-        return f"Rep({self.base!r}, {self.count})"
-
-
-W = Leaf()
-
-
-def expr_to_erasure_poly(e: ChannelExpr) -> Poly:
-    """Recursively evaluate an expression tree to its erasure polynomial."""
-    if isinstance(e, Leaf):
-        return EPS
-    if isinstance(e, Check):
-        return check_combine(expr_to_erasure_poly(e.left), expr_to_erasure_poly(e.right))
-    if isinstance(e, Bit):
-        return bit_combine(expr_to_erasure_poly(e.left), expr_to_erasure_poly(e.right))
-    if isinstance(e, Rep):
-        return repeat_channel(expr_to_erasure_poly(e.base), e.count)
-    raise TypeError(f"not a channel expression: {e!r}")
-
-
-# -- textual syntax ---------------------------------------------------------
-#
-# expr := 'W' | 'check(' expr ',' expr ')' | 'bit(' expr ',' expr ')'
-#       | 'rep(' expr ',' INT ')'
-# Case-insensitive, whitespace ignored.
-
-class ExprSyntaxError(ValueError):
-    pass
-
-
-def parse_channel_expr(text: str) -> ChannelExpr:
-    """Parse the CLI channel-expression syntax into a tree."""
-    s = "".join(text.split()).lower()
-    expr, rest = _parse(s)
-    if rest:
-        raise ExprSyntaxError(f"trailing input: {rest!r}")
-    return expr
-
-
-def _parse(s: str) -> tuple[ChannelExpr, str]:
-    if s.startswith("w"):
-        return W, s[1:]
-    for name in ("check", "bit", "rep"):
-        if s.startswith(name + "("):
-            first, rest = _parse(s[len(name) + 1:])
-            if not rest.startswith(","):
-                raise ExprSyntaxError(f"expected ',' in {name}(...)")
-            rest = rest[1:]
-            if name == "rep":
-                digits = ""
-                while rest and rest[0].isdigit():
-                    digits, rest = digits + rest[0], rest[1:]
-                if not digits:
-                    raise ExprSyntaxError("rep(...) needs an integer count")
-                second: ChannelExpr | int = int(digits)
-            else:
-                second, rest = _parse(rest)
-            if not rest.startswith(")"):
-                raise ExprSyntaxError(f"missing ')' in {name}(...)")
-            rest = rest[1:]
-            if name == "check":
-                return Check(first, second), rest
-            if name == "bit":
-                return Bit(first, second), rest
-            return Rep(first, second), rest
-    raise ExprSyntaxError(f"cannot parse expression at: {s!r}")

@@ -96,8 +96,10 @@ def _emit(payload, args) -> None:
 
 
 def _grid(args) -> tuple[Fraction, ...]:
-    if not args.grid:
+    if args.grid is None:
         return DEFAULT_GRID
+    if not args.grid:
+        raise ValueError("--grid lists no points")
     for g in args.grid:
         if not 0 < g < 1:
             raise ValueError(f"grid point {g} outside (0, 1)")
@@ -157,7 +159,7 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     _require(args, "family")
     family = family_by_name(args.family)
-    report = best_assignment(family, r=args.r, grid=_grid(args), certify=not args.no_certify)
+    report = best_assignment(family, grid=_grid(args), certify=not args.no_certify)
     if args.format == "csv":
         _emit(report.to_csv_rows(), args)
     else:
@@ -232,7 +234,9 @@ def cmd_kernels(args) -> int:
 
 def cmd_curves(args) -> int:
     grid = _grid(args)
-    r_values = args.r or [2, 4, 8]
+    r_values = [2, 4, 8] if args.r is None else args.r
+    if not r_values:
+        raise ValueError("--r lists no repetition counts")
     schemes = {}
     for r in r_values:
         schemes[r] = coded_repetition_scheme(_levels(r)).capacity_poly
@@ -341,7 +345,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = commands.add_parser("search", help="exhaustive assignment search")
     p.add_argument("--family", default=None)
-    p.add_argument("--r", type=int, default=None)
     p.add_argument("--no-certify", action="store_true",
                    help="skip the dominance certificate (Budan's 0-1 test, "
                         "then a Sturm count only where sign variations remain)")

@@ -678,7 +678,12 @@ def compare_oracle_with_analysis(
     ``analysis`` defaults to the design channels of the assignment; pass the
     golden reference expressions to compare those instead.  Sub-codeword
     channels are inner polarized so both sides describe the same 2**m bits.
+    A total length over ORACLE_MAX_BITS is refused before the exact design,
+    which alone takes seconds at m=14; any other bad (m, t) is left to
+    ``design_code`` and its messages.
     """
+    if 0 <= t <= m <= MAX_DESIGN_M and 1 << (m + t) > ORACLE_MAX_BITS:
+        raise ValueError(f"total length {1 << (m + t)} exceeds oracle bound {ORACLE_MAX_BITS}")
     spec = oracle_spec(family, assignment, m, t)
     oracle = exact_erasure_oracle(spec)
     if analysis is None:

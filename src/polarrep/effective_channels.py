@@ -20,7 +20,8 @@ they can be cross-checked:
   every assignment and by the search's grid ranking.
 * ``reference_expression_set`` -- fixed transcriptions of the known
   closed-form effective-channel expressions for the best four-repetition
-  patterns, kept as a golden reference.
+  patterns, written with the check, bit and repetition transforms of
+  :mod:`polarrep.channel_algebra` and kept as a golden reference.
 
 The design analysis is a per-channel-use calculation, deliberately simpler
 than the full behavior of the operational decoder in :mod:`polarrep.codec`;
@@ -37,7 +38,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Callable
 
-from .channel_algebra import Bit, Check, Rep, W, check_combine, expr_to_erasure_poly
+from .channel_algebra import bit_combine, check_combine, repeat_channel
 from .patterns import Matrix, PatternAssignment, PatternFamily, split_kernel
 from .poly import EPS, ONE, Poly
 
@@ -205,40 +206,49 @@ def assignment_erasures(
 
 # -- golden closed-form references ------------------------------------------
 
-def _u() -> Check:
-    return Check(W, Rep(W, 2))
+def _regular_best_r4() -> tuple[Poly, ...]:
+    """Best regular pattern for four blocks: {0, 3, 3, 3}."""
+    u = check_combine(EPS, repeat_channel(EPS, 2))
+    w3 = repeat_channel(EPS, 3)
+    return (
+        bit_combine(check_combine(u, repeat_channel(u, 2)), w3),
+        bit_combine(repeat_channel(u, 2), w3),
+        bit_combine(check_combine(repeat_channel(EPS, 2), repeat_channel(EPS, 4)), w3),
+        bit_combine(repeat_channel(EPS, 4), w3),
+    )
 
 
-_REFERENCE_EXPRS = {
-    # Best regular pattern for four blocks: {0, 3, 3, 3}.
-    "regular_best_r4": (
-        Bit(Check(_u(), Rep(_u(), 2)), Rep(W, 3)),
-        Bit(Rep(_u(), 2), Rep(W, 3)),
-        Bit(Check(Rep(W, 2), Rep(W, 4)), Rep(W, 3)),
-        Bit(Rep(W, 4), Rep(W, 3)),
-    ),
-    # Best irregular pattern for four blocks: {2, 5, 7, 7}.
-    "irregular_best_r4": (
-        Bit(Bit(Bit(_u(), _u()), W), W),
-        Bit(Bit(Bit(_u(), Rep(W, 2)), W), W),
-        Bit(Bit(Bit(Check(Rep(W, 2), Rep(W, 4)), W), W), W),
-        Bit(Bit(Bit(Rep(W, 4), W), W), W),
-    ),
+def _irregular_best_r4() -> tuple[Poly, ...]:
+    """Best irregular pattern for four blocks: {2, 5, 7, 7}."""
+    u = check_combine(EPS, repeat_channel(EPS, 2))
+    heads = (
+        bit_combine(u, u),
+        bit_combine(u, repeat_channel(EPS, 2)),
+        bit_combine(check_combine(repeat_channel(EPS, 2), repeat_channel(EPS, 4)), EPS),
+        bit_combine(repeat_channel(EPS, 4), EPS),
+    )
+    return tuple(bit_combine(bit_combine(h, EPS), EPS) for h in heads)
+
+
+_REFERENCE_SETS = {
+    "regular_best_r4": _regular_best_r4,
+    "irregular_best_r4": _irregular_best_r4,
 }
 
 
 def reference_expression_set(which: str) -> EffectiveChannelSet:
     """Golden effective channels for the published best r=4 patterns.
 
-    These are fixed expression-tree transcriptions evaluated through the
-    channel algebra, independent of :func:`assignment_erasures`; comparing
-    the two (and both against the codec's brute-force oracle) is part of the
-    validation story, not an identity assumed by the code.
+    These are fixed transcriptions of the closed-form expressions, written
+    with the channel transforms and evaluated on each call, independent of
+    :func:`assignment_erasures`; comparing the two (and both against the
+    codec's brute-force oracle) is part of the validation story, not an
+    identity assumed by the code.
     """
     try:
-        exprs = _REFERENCE_EXPRS[which]
+        build = _REFERENCE_SETS[which]
     except KeyError:
         raise ValueError(
-            f"unknown reference set {which!r}; expected one of {sorted(_REFERENCE_EXPRS)}"
+            f"unknown reference set {which!r}; expected one of {sorted(_REFERENCE_SETS)}"
         ) from None
-    return _make_set(tuple(expr_to_erasure_poly(e) for e in exprs))
+    return _make_set(build())

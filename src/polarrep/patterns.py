@@ -206,15 +206,15 @@ class PatternAssignment:
     stored canonically sorted.
     """
 
-    r: int
     indices: tuple[int, ...]
 
-    def __init__(self, indices: Iterable[int], r: int | None = None):
-        idx = tuple(sorted(int(i) for i in indices))
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "r", len(idx) if r is None else r)
-        if self.r != len(idx):
-            raise ValueError(f"assignment has {len(idx)} indices but r={self.r}")
+    def __init__(self, indices: Iterable[int]):
+        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in indices)))
+
+    @property
+    def r(self) -> int:
+        """The number of repetition blocks."""
+        return len(self.indices)
 
     def kernels(self, family: PatternFamily) -> tuple[Kernel, ...]:
         for i in self.indices:

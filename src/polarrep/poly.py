@@ -239,10 +239,6 @@ class Poly:
         """Coefficients as 'num/den' strings, lowest degree first."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
-    @staticmethod
-    def from_strings(items: Sequence[str]) -> "Poly":
-        return Poly([Fraction(s) for s in items])
-
 
 #: The indeterminate: the raw channel erasure probability.
 EPS = Poly((0, 1))

@@ -132,11 +132,10 @@ def _grid_capacities(
 
 def best_assignment(
     family: PatternFamily,
-    r: int | None = None,
     grid: tuple[Fraction, ...] = DEFAULT_GRID,
     certify: bool = True,
 ) -> SearchReport:
-    """Exhaustive capacity search over all assignments of size r.
+    """Exhaustive capacity search over all assignments of r = ``family.size`` blocks.
 
     Ties on grid wins break toward the lexicographically smallest canonical
     multiset, so reports are reproducible.  ``certify`` asks for the
@@ -145,10 +144,7 @@ def best_assignment(
     some difference is negative at a grid point, so it is negative at the
     sample or has a root in (0, 1), and the certificate is refuted anyway.
     """
-    if r is None:
-        r = family.size
-    if r != family.size:
-        raise ValueError(f"r={r} differs from the kernel size {family.size}")
+    r = family.size
     if not grid:
         raise ValueError("grid must be nonempty")
     for g in grid:

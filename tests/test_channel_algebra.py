@@ -1,4 +1,4 @@
-"""Erasure-channel transforms, expression trees, and the text parser."""
+"""Erasure-channel transforms and the standard synthetic-channel reference."""
 
 from fractions import Fraction as F
 
@@ -7,17 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarrep.channel_algebra import (
-    Bit,
-    Check,
-    ExprSyntaxError,
-    Leaf,
-    Rep,
-    W,
     bit_combine,
-    capacity_at,
     check_combine,
-    expr_to_erasure_poly,
-    parse_channel_expr,
     repeat_channel,
     standard_synthetic_channel,
 )
@@ -47,32 +38,12 @@ def test_repeat_channel():
         repeat_channel(EPS, 0)
 
 
-def test_expr_evaluation():
-    assert expr_to_erasure_poly(Bit(Check(W, Rep(W, 2)), W)) == Poly([0, 0, 1, 1, -1])
-    assert expr_to_erasure_poly(Rep(W, 4)) == EPS**4
-    assert expr_to_erasure_poly(Bit(Rep(W, 4), Rep(W, 3))) == EPS**7
-
-
-def test_rep_normalization():
-    assert Rep(W, 1) is W
-    assert Rep(Rep(W, 2), 3) == Rep(W, 6)
-    assert isinstance(W, Leaf)
-
-
 def test_standard_synthetic_pins():
     assert standard_synthetic_channel(1, 0) == EPS.scale(2) - EPS**2
     assert standard_synthetic_channel(1, 1) == EPS**2
     assert standard_synthetic_channel(2, 2) == (EPS**2).scale(2) - EPS**4
     with pytest.raises(ValueError):
         standard_synthetic_channel(2, 4)
-
-
-def test_capacity_pins():
-    assert capacity_at(EPS**2, F(1, 2)) == F(3, 4)
-    assert capacity_at(EPS, F(1, 2)) == F(1, 2)
-    assert capacity_at(EPS**5, 0) == 1
-    with pytest.raises(ValueError):
-        capacity_at(EPS, 2)
 
 
 small_z = st.integers(min_value=1, max_value=5).map(lambda d: EPS**d)
@@ -105,27 +76,13 @@ def test_polarization_preserves_capacity(m):
 @pytest.mark.parametrize(
     "expr",
     [
-        Bit(Check(W, Rep(W, 2)), W),
+        bit_combine(check_combine(EPS, EPS**2), EPS),
         standard_synthetic_channel(3, 5),
         check_combine(EPS, EPS**2),
     ],
 )
 def test_range_preservation(expr):
-    p = expr_to_erasure_poly(expr) if not isinstance(expr, Poly) else expr
-    assert p.evaluate(0) == 0
-    assert p.evaluate(1) == 1
+    assert expr.evaluate(0) == 0
+    assert expr.evaluate(1) == 1
     for eps in GRID:
-        assert 0 <= p.evaluate(eps) <= 1
-
-
-def test_parser():
-    tree = parse_channel_expr("Bit( CHECK(w, rep(W, 2)), w )")
-    assert expr_to_erasure_poly(tree) == Poly([0, 0, 1, 1, -1])
-    assert parse_channel_expr("w") is W
-    assert parse_channel_expr("rep(w,1)") is W
-    with pytest.raises(ExprSyntaxError):
-        parse_channel_expr("check(w)")
-    with pytest.raises(ExprSyntaxError):
-        parse_channel_expr("rep(w,x)")
-    with pytest.raises(ExprSyntaxError):
-        parse_channel_expr("w)")
+        assert 0 <= expr.evaluate(eps) <= 1

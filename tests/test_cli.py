@@ -211,6 +211,11 @@ def test_config_file_defaults(tmp_path, capsys):
                      id="sample-zero-denominator"),
         pytest.param(["prove", "--custom", "1,2/0"], "zero denominator",
                      id="custom-zero-denominator"),
+        pytest.param(["search", "--family", "reg2", "--grid", ","], "--grid lists no points",
+                     id="search-empty-grid"),
+        pytest.param(["analyze", "--family", "reg2", "--assign", "0,1", "--grid", ","],
+                     "--grid lists no points", id="analyze-empty-grid"),
+        pytest.param(["curves", "--r", ","], "--r lists no repetition counts", id="curves-empty-r"),
     ],
 )
 def test_bad_family_fails_cleanly(capsys, argv, reason):
@@ -240,12 +245,24 @@ def test_search_size_checked_before_enumeration(monkeypatch, capsys):
         raise AssertionError("candidates enumerated before the size check")
 
     monkeypatch.setattr(search, "combinations_with_replacement", enumerated)
-    for argv in (["search", "--family", "irr4", "--r", "1000"], ["search", "--family", "reg16"]):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert json.loads(captured.err)["status"] == "error"
+    code = main(["search", "--family", "reg16"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["status"] == "error"
+
+
+def test_simulate_oracle_size_checked_before_design(monkeypatch, capsys):
+    def evaluated(*args):
+        raise AssertionError("design erasures evaluated before the oracle bound check")
+
+    monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+    code = main(["simulate", "--oracle", "--family", "irr4", "--m", "14", "--assign", "2,5,7,7"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["reason"] == "total length 65536 exceeds oracle bound 16"
 
 
 def test_simulate_size_checked_before_design(monkeypatch, capsys):

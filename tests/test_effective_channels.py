@@ -134,7 +134,35 @@ class TestAssignmentErasures:
             assignment_erasures(PatternAssignment([0, 1, 1]), family_by_name("reg2"))
 
 
+# to_strings() of every reference polynomial as the expression-tree
+# transcription produced them: the per-sub-codeword erasures, then capacity.
+REFERENCE_PINS = {
+    "regular_best_r4": (
+        ["0/1 0/1 0/1 0/1 1/1 2/1 0/1 -4/1 -2/1 6/1 0/1 -3/1 1/1".split(),
+         "0/1 0/1 0/1 0/1 0/1 1/1 2/1 -1/1 -2/1 1/1".split(),
+         "0/1 0/1 0/1 0/1 0/1 1/1 0/1 1/1 0/1 -1/1".split(),
+         "0/1 0/1 0/1 0/1 0/1 0/1 0/1 1/1".split()],
+        "1/4 0/1 0/1 0/1 -1/16 -1/4 -1/8 3/16 1/4 -3/8 0/1 3/16 -1/16".split(),
+    ),
+    "irregular_best_r4": (
+        ["0/1 0/1 0/1 0/1 1/1 2/1 -1/1 -2/1 1/1".split(),
+         "0/1 0/1 0/1 0/1 0/1 1/1 1/1 -1/1".split(),
+         "0/1 0/1 0/1 0/1 0/1 1/1 0/1 1/1 0/1 -1/1".split(),
+         "0/1 0/1 0/1 0/1 0/1 0/1 0/1 1/1".split()],
+        "1/4 0/1 0/1 0/1 -1/16 -1/4 0/1 1/16 -1/16 1/16".split(),
+    ),
+}
+
+
 class TestReferenceExpressions:
+    @pytest.mark.parametrize("which", sorted(REFERENCE_PINS))
+    def test_pinned_polynomials(self, which):
+        per_subword, capacity = REFERENCE_PINS[which]
+        channels = reference_expression_set(which)
+        assert channels.r == 4
+        assert [z.to_strings() for z in channels.per_subword] == per_subword
+        assert channels.capacity_poly.to_strings() == capacity
+
     def test_last_subwords(self):
         assert reference_expression_set("regular_best_r4").per_subword[3] == EPS**7
         assert reference_expression_set("irregular_best_r4").per_subword[3] == EPS**7

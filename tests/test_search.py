@@ -36,10 +36,6 @@ def test_size_checked_before_enumeration(monkeypatch):
         raise AssertionError("candidates enumerated before the size check")
 
     monkeypatch.setattr(search, "combinations_with_replacement", enumerated)
-    with pytest.raises(ValueError, match="differs from the kernel size 4"):
-        best_assignment(family_by_name("irr4"), r=1000)
-    with pytest.raises(ValueError, match="differs from the kernel size 2"):
-        best_assignment(family_by_name("reg2"), r=3)
     reg16 = family_by_name("reg16")
     with pytest.raises(ValueError, match="300540195 candidate assignments exceed"):
         best_assignment(reg16)
