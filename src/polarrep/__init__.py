@@ -34,15 +34,14 @@ from .effective_channels import (
 from .patterns import (
     G2,
     I2,
+    LEAF,
     Kernel,
     PatternAssignment,
     PatternFamily,
     apply_kernel,
     family_by_name,
     irregular_family_r4,
-    kron,
     regular_family,
-    validate_kernel,
 )
 from .poly import EPS, Poly, SturmSequence, count_roots_in
 from .proofcheck import (
@@ -50,7 +49,6 @@ from .proofcheck import (
     certify_difference,
     certify_dominance,
     certify_gain,
-    endpoint_certificates,
 )
 from .search import DEFAULT_GRID, SearchReport, best_assignment, enumerate_assignments
 

@@ -7,7 +7,8 @@ runs and the exact oracle comparison).  Every command writes one JSON or CSV
 document to stdout or ``--out`` and exits 0 exactly when the requested
 certification or validation succeeded.  Bad input values and unreadable
 files exit 1 with one compact JSON object on stderr; malformed flags are
-left to argparse, which prints its usage and exits 2.
+left to argparse, which prints its usage and exits 2.  Flags are never
+abbreviated: a prefix such as ``--r`` for ``--reproducible`` is malformed.
 
 Rationals on the command line are parsed exactly: ``1/2`` and ``0.5`` are
 the same value.  A JSON config file can hold defaults for any flag; explicit
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import io
 import json
 import sys
@@ -168,6 +170,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    if args.t == []:
+        raise ValueError("--t lists no level counts")
     grid = _grid(args)
     if args.custom is None and not args.t:
         raise ValueError("nothing to prove: pass --t and/or --custom")
@@ -211,6 +215,8 @@ def cmd_prove(args) -> int:
 
 def cmd_kernels(args) -> int:
     _require(args, "refs")
+    if not args.refs:
+        raise ValueError("--refs lists no kernels")
     entries = []
     for ref in args.refs:
         family, index, kern = kernel_ref(ref)
@@ -332,18 +338,20 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polarrep",
         description="Polar coded repetition toolkit for erasure channels.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", default=None,
                         help="JSON file with default flag values")
     commands = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(commands.add_parser, allow_abbrev=False)
 
-    p = commands.add_parser("analyze", help="effective channels of one assignment")
+    p = command("analyze", help="effective channels of one assignment")
     p.add_argument("--family", default=None)
     p.add_argument("--assign", type=_int_list, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = commands.add_parser("search", help="exhaustive assignment search")
+    p = command("search", help="exhaustive assignment search")
     p.add_argument("--family", default=None)
     p.add_argument("--no-certify", action="store_true",
                    help="skip the dominance certificate (Budan's 0-1 test, "
@@ -351,7 +359,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_search)
 
-    p = commands.add_parser("prove", help="capacity-gain certificates")
+    p = command("prove", help="capacity-gain certificates")
     p.add_argument("--t", type=_int_list, default=None,
                    help="comma-separated level counts (r = 2**t)")
     p.add_argument("--custom", default=None,
@@ -360,18 +368,18 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_prove)
 
-    p = commands.add_parser("kernels", help="print kernels by family:index reference")
+    p = command("kernels", help="print kernels by family:index reference")
     p.add_argument("--refs", type=lambda s: [x for x in s.split(",") if x],
                    default=None, help="comma list such as reg4:0,irr4:7")
     _add_common(p)
     p.set_defaults(func=cmd_kernels)
 
-    p = commands.add_parser("curves", help="capacity curve table")
+    p = command("curves", help="capacity curve table")
     p.add_argument("--r", type=_int_list, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_curves)
 
-    p = commands.add_parser("simulate", help="Monte Carlo simulation / exact oracle")
+    p = command("simulate", help="Monte Carlo simulation / exact oracle")
     p.add_argument("--family", default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
@@ -406,7 +414,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
     try:

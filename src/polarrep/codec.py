@@ -40,14 +40,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .effective_channels import assignment_erasures
-from .patterns import (
-    Kernel,
-    Matrix,
-    PatternAssignment,
-    PatternFamily,
-    apply_kernel,
-    split_kernel,
-)
+from .patterns import Kernel, PatternAssignment, PatternFamily, apply_kernel
 from .poly import EPS, Poly
 
 #: Full enumeration of 2**N erasure patterns stays cheap up to this length.
@@ -267,48 +260,48 @@ def encode(spec: CodeSpec, info_bits: Sequence[int]) -> list[tuple[int, ...]]:
 
 # -- the kernel-tree carrier walk --------------------------------------------
 
-def _walk(carriers: list[tuple[Matrix, Any]], ops: Any, first: int = 0) -> list:
+def _walk(carriers: list[tuple[Kernel, Any]], ops: Any, first: int = 0) -> list:
     """Successive-cancellation schedule over the kernel tree.
 
-    Each carrier is (kernel rows, message) for a block or a leg derived from
-    one, over the sub-codewords ``first``, ``first + 1``, ...; a message has
-    one row per kernel position along its first axis.  ``ops`` supplies
+    Each carrier is (kernel, message) for a block or a leg derived from one,
+    over the sub-codewords ``first``, ``first + 1``, ...; a message has one
+    row per kernel position along its first axis.  ``ops`` supplies
     ``merge`` (variable combine), ``check`` (check combine with a partner
     estimate), ``cancel`` (interference removal given the decoded earlier
     half) and ``leaf`` (inner decoding).  Returns one leaf result per
     sub-codeword, in order.
     """
-    size = len(carriers[0][0])
-    if size == 1:
+    if carriers[0][0].a is None:
         return [ops.leaf(ops.merge([msg for _, msg in carriers]), first)]
-    h = size // 2
-    splits = [(split_kernel(rows), msg) for rows, msg in carriers]
+    h = carriers[0][0].a.size
 
     # Partner estimates: one per distinct bottom kernel, from every carrier
     # whose bottom kernel matches.
-    estimates: dict[Matrix, Any] = {}
-    for (e, _, b), _msg in splits:
-        if e and b not in estimates:
-            estimates[b] = ops.merge([msg[h:] for (_, _, bb), msg in splits if bb == b])
+    estimates: dict[Kernel, Any] = {}
+    for kern, _msg in carriers:
+        if kern.e and kern.b not in estimates:
+            estimates[kern.b] = ops.merge(
+                [msg[h:] for other, msg in carriers if other.b == kern.b]
+            )
 
     earlier = [
-        (a, ops.check(msg[:h], estimates[b]) if e else msg[:h])
-        for (e, a, b), msg in splits
+        (kern.a, ops.check(msg[:h], estimates[kern.b]) if kern.e else msg[:h])
+        for kern, msg in carriers
     ]
     known = _walk(earlier, ops, first)
     later = []
-    for (e, a, b), msg in splits:
-        later.append((b, msg[h:]))
-        if e:
-            later.append((b, ops.cancel(msg[:h], a, known)))
+    for kern, msg in carriers:
+        later.append((kern.b, msg[h:]))
+        if kern.e:
+            later.append((kern.b, ops.cancel(msg[:h], kern.a, known)))
     return known + _walk(later, ops, first + h)
 
 
-def _carriers(spec: CodeSpec, rows: Any) -> list[tuple[Matrix, Any]]:
+def _carriers(spec: CodeSpec, rows: Any) -> list[tuple[Kernel, Any]]:
     """Pair each block's kernel with its r message rows (block b owns rows
     b*r to b*r + r - 1 of ``rows``)."""
     r = spec.r
-    return [(kern.rows, rows[b * r : (b + 1) * r]) for b, kern in enumerate(spec.kernels())]
+    return [(kern, rows[b * r : (b + 1) * r]) for b, kern in enumerate(spec.kernels())]
 
 
 # -- value-level SC decoding ------------------------------------------------
@@ -360,14 +353,13 @@ class _Values:
     def check(self, msg, estimate):
         return [list(map(_combine_check, x, y)) for x, y in zip(msg, estimate)]
 
-    def cancel(self, msg, a: Matrix, known):
-        out = []
-        for p, row in enumerate(msg):
-            for q, arow in enumerate(a):
-                if arow[p]:
-                    row = [None if v is None else v ^ x for v, x in zip(row, known[q][1])]
-            out.append(row)
-        return out
+    def cancel(self, msg, a: Kernel, known):
+        coded = apply_kernel(a, [x for _, x in known])
+        w = self.width
+        return [
+            [None if v is None else v ^ x for v, x in zip(row, coded[p * w : (p + 1) * w])]
+            for p, row in enumerate(msg)
+        ]
 
     def leaf(self, msg, j: int):
         return _inner_sc(msg[0], self.frozen, j * self.width)
@@ -411,7 +403,7 @@ class _Flags:
     def check(self, msg, estimate):
         return msg | estimate
 
-    def cancel(self, msg, a: Matrix, known):
+    def cancel(self, msg, a: Kernel, known):
         return msg
 
     def leaf(self, msg, j: int):
@@ -477,7 +469,7 @@ class _Tally:
         self.ops += len(msg) * self.width
         return msg
 
-    def cancel(self, msg, a: Matrix, known):
+    def cancel(self, msg, a: Kernel, known):
         self.ops += len(msg) * self.width
         return msg
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .channel_algebra import bit_combine, check_combine, repeat_channel
-from .patterns import Matrix, PatternAssignment, PatternFamily, split_kernel
+from .patterns import Kernel, PatternAssignment, PatternFamily
 from .poly import EPS, ONE, Poly
 
 
@@ -131,7 +131,7 @@ def _merged_check(z: Poly) -> Poly:
     return check_combine(z, z)
 
 
-def _factor(rows: Matrix, z: Poly, k: int, check: Callable[[Poly], Poly]) -> Poly:
+def _factor(kern: Kernel, z: Poly, k: int, check: Callable[[Poly], Poly]) -> Poly:
     """Design factor of sub-codeword k through one kernel's tree.
 
     A polarizing level sends the earlier half to ``check(z)`` and the later
@@ -149,37 +149,36 @@ def _factor(rows: Matrix, z: Poly, k: int, check: Callable[[Poly], Poly]) -> Pol
       the standard map check(z, z).  This is exact, matching both the
       decoder and the length-one repetition scheme.
     """
-    if len(rows) == 1:
+    if kern.a is None:
         return z
-    e, a, b = split_kernel(rows)
-    h = len(rows) // 2
+    h = kern.a.size
     if k < h:
-        return _factor(a, check(z) if e else z, k, check)
-    return _factor(b, z * z if e else z, k - h, check)
+        return _factor(kern.a, check(z) if kern.e else z, k, check)
+    return _factor(kern.b, z * z if kern.e else z, k - h, check)
 
 
 @cache
-def _design_factor(rows: Matrix, mult: int, k: int) -> Poly:
+def _design_factor(kern: Kernel, mult: int, k: int) -> Poly:
     """Factor of sub-codeword k contributed by ``mult`` blocks of one kernel.
 
-    It depends only on (rows, mult, k), so every candidate of a search reads
+    It depends only on (kern, mult, k), so every candidate of a search reads
     one table: reg8's 6,435 candidates need at most 512 entries.
     """
     if mult == 1:
-        return _factor(rows, EPS, k, _lone_check)
-    return _factor(rows, EPS**mult, k, _merged_check)
+        return _factor(kern, EPS, k, _lone_check)
+    return _factor(kern, EPS**mult, k, _merged_check)
 
 
 def _kernel_groups(
     assignment: PatternAssignment, family: PatternFamily
-) -> tuple[tuple[Matrix, int], ...]:
+) -> tuple[tuple[Kernel, int], ...]:
     """The assignment's distinct kernels, each with its number of blocks."""
     kernels = assignment.kernels(family)
     if assignment.r != family.size:
         raise ValueError(
             f"assignment has {assignment.r} blocks but kernels have size {family.size}"
         )
-    return tuple(Counter(kern.rows for kern in kernels).items())
+    return tuple(Counter(kernels).items())
 
 
 def assignment_erasures(
@@ -198,8 +197,8 @@ def assignment_erasures(
     per = []
     for k in range(family.size):
         acc = ONE
-        for rows, mult in groups:
-            acc = acc * _design_factor(rows, mult, k)
+        for kern, mult in groups:
+            acc = acc * _design_factor(kern, mult, k)
         per.append(acc)
     return _make_set(tuple(per))
 

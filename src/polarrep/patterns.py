@@ -1,86 +1,65 @@
 """Kernel and pattern-family construction, plus per-block encoding.
 
-A kernel is a binary lower-triangular matrix with unit diagonal, applied at
-the outer recursion levels of one repetition block.  Codewords are row
-vectors, so encoding is ``out = c @ K`` over GF(2): output position p is the
-XOR of the sub-codewords selected by column p.
+A kernel is applied at the outer recursion levels of one repetition block.
+Every kernel is a recursion tree K(e, A, B): the block matrix
+[[A, 0], [e*B, B]] over two half-size kernels A and B, down to the 1x1
+``LEAF``, so it is binary lower-triangular with unit diagonal by
+construction.  Codewords are row vectors, so encoding is ``out = c @ K`` over
+GF(2), computed down the tree as [c, d] K = [c A + e d B, d B].
 
 Two families are provided:
 
 * the regular family for r = 2**t: all Kronecker products of the 2x2
-  polarizing kernel and the 2x2 identity, indexed by the t-bit expansion of
-  the member index (most significant bit = outermost factor);
+  polarizing kernel G2 = K(1, LEAF, LEAF) and the 2x2 identity
+  I2 = K(0, LEAF, LEAF), indexed by the t-bit expansion of the member index
+  (most significant bit = outermost factor), where G2 x R = K(1, R, R) and
+  I2 x R = K(0, R, R);
 * the irregular family for r = 4: eight 4x4 kernels K(e, A, B) with
-  independent top/bottom 2x2 inner kernels A, B and a coupling bit e, laid
-  out in blocks as [[A, 0], [e*B, B]].
+  independent top/bottom 2x2 inner kernels A, B and a coupling bit e.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-Row = tuple[int, ...]
-Matrix = tuple[Row, ...]
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Immutable binary matrix used as a per-block outer transform."""
+class Kernel(NamedTuple):
+    """Immutable kernel tree K(e, a, b) = [[a, 0], [e*b, b]].
 
-    rows: Matrix
+    The halves are kernels of equal size; ``a`` and ``b`` are None only for
+    the 1x1 ``LEAF``.  Equality and hashing are structural (tuple ones), so
+    ``len()`` of a kernel is the field count, never its size.
+    """
+
+    e: int
+    a: Kernel | None
+    b: Kernel | None
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return 1 if self.a is None else 2 * self.a.size
 
-    def column(self, p: int) -> tuple[int, ...]:
-        return tuple(row[p] for row in self.rows)
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense 0/1 matrix, for printing."""
+        if self.a is None:
+            return ((1,),)
+        pad = (0,) * self.a.size
+        return tuple(row + pad for row in self.a.rows) + tuple(
+            tuple(self.e * v for v in row) + row for row in self.b.rows
+        )
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
 
-def kernel(rows: Iterable[Iterable[int]]) -> Kernel:
-    return Kernel(tuple(tuple(int(v) for v in row) for row in rows))
-
-
-#: 2x2 polarizing kernel and 2x2 identity: the two one-level patterns.
-G2 = kernel([[1, 0], [1, 1]])
-I2 = kernel([[1, 0], [0, 1]])
-
-
-def validate_kernel(k: Kernel) -> str | None:
-    """Return None if k is a valid kernel, else a human-readable reason.
-
-    Valid means: square, power-of-two size, binary entries, lower-triangular
-    with unit diagonal (hence nonsingular).
-    """
-    n = k.size
-    if n == 0:
-        return "empty matrix"
-    if n & (n - 1):
-        return f"size {n} is not a power of two"
-    for i, row in enumerate(k.rows):
-        if len(row) != n:
-            return f"row {i} has length {len(row)}, expected {n}"
-        for j, v in enumerate(row):
-            if v not in (0, 1):
-                return f"entry ({i},{j}) = {v} is not binary"
-            if j == i and v != 1:
-                return f"diagonal entry ({i},{i}) is zero (singular)"
-            if j > i and v != 0:
-                return f"entry ({i},{j}) above the diagonal is nonzero"
-    return None
-
-
-def kron(a: Kernel, b: Kernel) -> Kernel:
-    """Kronecker product of two kernels; preserves lower-triangularity."""
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append(tuple(va * vb for va in ra for vb in rb))
-    return Kernel(tuple(rows))
+#: The 1x1 kernel, and the 2x2 polarizing kernel and identity: the two
+#: one-level patterns.
+LEAF = Kernel(0, None, None)
+G2 = Kernel(1, LEAF, LEAF)
+I2 = Kernel(0, LEAF, LEAF)
 
 
 @dataclass(frozen=True)
@@ -109,45 +88,19 @@ def regular_family(t: int) -> PatternFamily:
     full polarizing transform and member 2**t - 1 the identity.  t = 0 is
     allowed and yields the single trivial 1x1 kernel, which lets the rest of
     the toolkit treat an unrepeated code as the degenerate one-block case.
+
+    Each level adds the outermost factor, which takes the top bit: member i
+    is K(1, R, R) or K(0, R, R) with R member i mod 2**(t-1) of the family
+    one level down, so both halves are one shared object.
     """
     if t < 0:
         raise ValueError("level count must be >= 0")
-    members = []
-    for i in range(1 << t):
-        k = kernel([[1]])
-        for level in range(t - 1, -1, -1):
-            k = kron(k, I2 if (i >> level) & 1 else G2)
-        members.append(k)
-    return PatternFamily(kind=f"reg{1 << t}", members=tuple(members))
-
-
-def coupled_block_kernel(e: int, a: Kernel, b: Kernel) -> Kernel:
-    """Block matrix [[a, 0], [e*b, b]] of size 2*size(a)."""
-    if a.size != b.size:
-        raise ValueError("inner kernels must have equal size")
-    h = a.size
-    rows = [row + (0,) * h for row in a.rows]
-    for i in range(h):
-        top = tuple(e * v for v in b.rows[i])
-        rows.append(top + b.rows[i])
-    return Kernel(tuple(rows))
-
-
-def split_kernel(rows: Matrix) -> tuple[int, Matrix, Matrix]:
-    """Inverse of :func:`coupled_block_kernel` on raw rows: (e, A, B).
-
-    This is the one place that reads the block format [[A, 0], [e*B, B]];
-    every kernel-tree walk descends through it, one level per call.
-    """
-    h = len(rows) // 2
-    a = tuple(row[:h] for row in rows[:h])
-    b = tuple(row[h:] for row in rows[h:])
-    c = tuple(row[:h] for row in rows[h:])
-    if c == tuple((0,) * h for _ in range(h)):
-        return 0, a, b
-    if c == b:
-        return 1, a, b
-    raise ValueError("kernel is not block-structured as [[A,0],[e*B,B]]")
+    members = (LEAF,)
+    for _ in range(t):
+        members = tuple(Kernel(1, r, r) for r in members) + tuple(
+            Kernel(0, r, r) for r in members
+        )
+    return PatternFamily(kind=f"reg{1 << t}", members=members)
 
 
 def irregular_family_r4() -> PatternFamily:
@@ -159,12 +112,8 @@ def irregular_family_r4() -> PatternFamily:
     couples an identity top onto a polarizing bottom, member 5 polarizes the
     top half only, and member 7 is the identity.
     """
-    members = []
-    for e in (1, 0):
-        for a in (G2, I2):
-            for b in (G2, I2):
-                members.append(coupled_block_kernel(e, a, b))
-    return PatternFamily(kind="irr4", members=tuple(members))
+    members = tuple(Kernel(e, a, b) for e in (1, 0) for a in (G2, I2) for b in (G2, I2))
+    return PatternFamily(kind="irr4", members=members)
 
 
 _FAMILY_BUILDERS = {
@@ -227,7 +176,8 @@ class PatternAssignment:
 
 
 def apply_kernel(k: Kernel, subwords: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Encode one block: XOR-combine equal-length subwords per kernel column.
+    """Encode one block: the concatenated codeword [c, d] K of equal-length
+    subwords, c the first half and d the second.
 
     With the 2x2 polarizing kernel this maps (c1, c2) to (c1^c2, c2); with
     the identity it concatenates the subwords unchanged.
@@ -237,14 +187,16 @@ def apply_kernel(k: Kernel, subwords: Sequence[Sequence[int]]) -> tuple[int, ...
     lengths = {len(w) for w in subwords}
     if len(lengths) != 1:
         raise ValueError(f"subwords must have equal length, got {sorted(lengths)}")
-    (width,) = lengths
-    out: list[int] = []
-    for p in range(k.size):
-        col = k.column(p)
-        for pos in range(width):
-            acc = 0
-            for j, bit in enumerate(col):
-                if bit:
-                    acc ^= subwords[j][pos]
-            out.append(acc)
-    return tuple(out)
+    return _encode(k, subwords)
+
+
+def _encode(k: Kernel, subwords: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """[c, d] K(e, A, B) = [c A + e d B, d B] over GF(2)."""
+    if k.a is None:
+        return tuple(subwords[0])
+    h = len(subwords) // 2
+    low = _encode(k.b, subwords[h:])
+    top = _encode(k.a, subwords[:h])
+    if k.e:
+        top = tuple(map(operator.xor, top, low))
+    return top + low

@@ -118,41 +118,6 @@ def certify_gain(t: int, sample: Fraction = Fraction(1, 2)) -> GainCertificate:
     return certify_difference(total - EPS.scale(r), sample=sample, r=r)
 
 
-def endpoint_certificates(t: int) -> list[dict]:
-    """Endpoint report for every sub-codeword of the fully polarized pattern.
-
-    For each k this reconstructs the erasure polynomial by composing the two
-    level maps f0(a) = a + a**2 - a**3 and f1(a) = a**2 along the bits of
-    k - 1, checks the composition against the level recursion coefficient
-    for coefficient, and evaluates at 0 and 1 (expected 0 and 1: the scheme
-    degenerates at both endpoints, which is why certificates work on the
-    open interval).
-    """
-    if t < 1:
-        raise ValueError("need at least one level")
-    per = regular_block_erasures(0, t)
-    f0 = EPS + EPS**2 - EPS**3
-    f1 = EPS**2
-    reports = []
-    for k, z in enumerate(per, start=1):
-        chain = []
-        acc = EPS
-        for level in range(t - 1, -1, -1):
-            bit = ((k - 1) >> level) & 1
-            chain.append("f1" if bit else "f0")
-            acc = (f1 if bit else f0).compose(acc)
-        reports.append(
-            {
-                "k": k,
-                "chain": chain,
-                "value_at_0": z.evaluate(0),
-                "value_at_1": z.evaluate(1),
-                "chain_matches_recursion": acc == z,
-            }
-        )
-    return reports
-
-
 def certify_dominance(pa: Poly, pb: Poly, sample: Fraction = Fraction(1, 2)) -> str:
     """Certify pa > pb on the open interval (0, 1).
 

@@ -30,7 +30,7 @@ from .effective_channels import (
     _kernel_groups,
     assignment_erasures,
 )
-from .patterns import Matrix, PatternAssignment, PatternFamily
+from .patterns import Kernel, PatternAssignment, PatternFamily
 
 #: Largest candidate count a search enumerates: reg8 (6,435) fits, reg16
 #: (300,540,195) would not fit in memory.
@@ -93,7 +93,7 @@ def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignme
 
 
 def _grid_capacities(
-    groups: list[tuple[tuple[Matrix, int], ...]], r: int, grid: tuple[Fraction, ...]
+    groups: list[tuple[tuple[Kernel, int], ...]], r: int, grid: tuple[Fraction, ...]
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Every candidate's capacity at every grid point, as integers.
 
@@ -106,7 +106,7 @@ def _grid_capacities(
     candidates its capacity (r - sum M_k / q**d) / r**2 is the integer
     r q**D - q**(D - d) sum M_k over the point's r**2 q**D.
     """
-    position: dict[tuple[Matrix, int], int] = {}
+    position: dict[tuple[Kernel, int], int] = {}
     members = [[position.setdefault(key, len(position)) for key in g] for g in groups]
     table = [[_design_factor(*key, k) for k in range(r)] for key in position]
     widths = [max(f.degree for f in factors) for factors in table]

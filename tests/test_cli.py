@@ -216,6 +216,10 @@ def test_config_file_defaults(tmp_path, capsys):
         pytest.param(["analyze", "--family", "reg2", "--assign", "0,1", "--grid", ","],
                      "--grid lists no points", id="analyze-empty-grid"),
         pytest.param(["curves", "--r", ","], "--r lists no repetition counts", id="curves-empty-r"),
+        pytest.param(["kernels", "--refs", ","], "--refs lists no kernels",
+                     id="kernels-empty-refs"),
+        pytest.param(["prove", "--custom", "1/2,-1", "--t", ","], "--t lists no level counts",
+                     id="prove-empty-t"),
     ],
 )
 def test_bad_family_fails_cleanly(capsys, argv, reason):
@@ -227,6 +231,22 @@ def test_bad_family_fails_cleanly(capsys, argv, reason):
     error = json.loads(captured.err)
     assert error["status"] == "error"
     assert reason in error["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--family", "reg2", "--r"],
+        ["analyze", "--fam", "reg2", "--assign", "0,1", "--reproducible"],
+        ["--conf", "no-such-config.json", "analyze", "--family", "reg2", "--assign", "0,1"],
+    ],
+    ids=["search-r", "analyze-fam", "config-prefix"],
+)
+def test_abbreviated_flags_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_config_not_an_object(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Kernel families, Kronecker products, and per-block encoding."""
+"""Kernel trees and families against dense references, and per-block encoding."""
 
 import random
 
@@ -7,30 +7,62 @@ import pytest
 from polarrep.patterns import (
     G2,
     I2,
-    Kernel,
+    LEAF,
     PatternAssignment,
     apply_kernel,
     family_by_name,
     irregular_family_r4,
-    kernel,
-    kron,
     regular_family,
-    validate_kernel,
 )
+
+G2_ROWS = ((1, 0), (1, 1))
+I2_ROWS = ((1, 0), (0, 1))
+
+
+def kron(a, b):
+    """Dense Kronecker product of two 0/1 matrices given as row tuples."""
+    return tuple(tuple(va * vb for va in ra for vb in rb) for ra in a for rb in b)
+
+
+def block(e, a, b):
+    """Dense [[a, 0], [e*b, b]] of two equal-size 0/1 matrices."""
+    pad = (0,) * len(a)
+    return tuple(row + pad for row in a) + tuple(tuple(e * v for v in row) + row for row in b)
 
 
 def test_two_block_family():
     fam = regular_family(1)
     assert fam.members == (G2, I2)
+    assert (G2.rows, I2.rows, LEAF.rows) == (G2_ROWS, I2_ROWS, ((1,),))
 
 
 def test_four_block_regular_family_order():
     fam = regular_family(2)
-    assert fam[0] == kron(G2, G2)
-    assert fam[1] == kron(G2, I2)
-    assert fam[2] == kron(I2, G2)
-    assert fam[3] == kron(I2, I2)
+    assert fam[0].rows == kron(G2_ROWS, G2_ROWS)
+    assert fam[1].rows == kron(G2_ROWS, I2_ROWS)
+    assert fam[2].rows == kron(I2_ROWS, G2_ROWS)
+    assert fam[3].rows == kron(I2_ROWS, I2_ROWS)
     assert len(fam) == 4
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_regular_family_matches_dense_kron(t):
+    fam = regular_family(t)
+    assert len(fam) == 1 << t
+    for i, member in enumerate(fam.members):
+        dense = ((1,),)
+        for level in range(t - 1, -1, -1):
+            dense = kron(dense, I2_ROWS if (i >> level) & 1 else G2_ROWS)
+        assert member.rows == dense
+        assert member.size == 1 << t
+
+
+def test_large_regular_family_shares_halves():
+    fam = regular_family(10)
+    assert len(fam) == 1024
+    for member in fam.members:
+        assert member.size == 1024
+        assert member.a is member.b
 
 
 def test_regular_family_counts_and_identity():
@@ -44,13 +76,15 @@ def test_regular_family_counts_and_identity():
 
 
 def test_kron_block_diagonal():
-    k = kron(I2, G2)
-    assert k.rows == ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1))
+    assert regular_family(2)[2].rows == (
+        (1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1)
+    )
 
 
 def _symbolic(k):
+    rows = k.rows
     return [
-        tuple(j + 1 for j, bit in enumerate(k.column(p)) if bit)
+        tuple(j + 1 for j, row in enumerate(rows) if row[p])
         for p in range(k.size)
     ]
 
@@ -66,6 +100,14 @@ def test_irregular_family_pinned_outputs():
     assert _symbolic(fam[5]) == [(1, 2), (2,), (3,), (4,)]
 
 
+def test_irregular_family_matches_dense_blocks():
+    fam = irregular_family_r4()
+    dense = [
+        block(e, a, b) for e in (1, 0) for a in (G2_ROWS, I2_ROWS) for b in (G2_ROWS, I2_ROWS)
+    ]
+    assert [member.rows for member in fam.members] == dense
+
+
 def test_irregular_family_contains_regular():
     irr = irregular_family_r4()
     reg = regular_family(2)
@@ -76,17 +118,17 @@ def test_irregular_family_contains_regular():
 
 
 def test_all_members_valid():
-    for name in ("reg2", "reg4", "reg8", "irr4"):
+    """Every member is a binary lower unitriangular matrix."""
+    for name in ("reg2", "reg4", "reg8", "reg16", "irr4"):
         for member in family_by_name(name).members:
-            assert validate_kernel(member) is None
-
-
-def test_validate_rejections():
-    assert validate_kernel(G2) is None
-    assert validate_kernel(kernel([[0, 0], [1, 1]])) is not None
-    assert validate_kernel(kernel([[1, 1], [0, 1]])) is not None
-    assert validate_kernel(kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) is not None
-    assert validate_kernel(kernel([[1, 0], [2, 1]])) is not None
+            rows = member.rows
+            n = len(rows)
+            assert n == member.size and n & (n - 1) == 0
+            for i, row in enumerate(rows):
+                assert len(row) == n
+                assert row[i] == 1
+                assert all(v == 0 for v in row[i + 1 :])
+                assert set(row) <= {0, 1}
 
 
 def test_apply_kernel_pins():
@@ -142,7 +184,7 @@ def test_kernel_ref():
     from polarrep.patterns import kernel_ref
 
     family, index, k = kernel_ref("reg4:0")
-    assert family.kind == "reg4" and index == 0 and k == kron(G2, G2)
+    assert family.kind == "reg4" and index == 0 and k.rows == kron(G2_ROWS, G2_ROWS)
     assert kernel_ref("irr4:7")[2].rows == tuple(
         tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
     )

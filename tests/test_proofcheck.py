@@ -1,18 +1,17 @@
-"""Certificates: capacity gain, endpoint reports, and dominance."""
+"""Certificates: capacity gain, endpoint values, and dominance."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from polarrep.effective_channels import assignment_erasures, coded_repetition_scheme
+from polarrep.effective_channels import (
+    assignment_erasures,
+    coded_repetition_scheme,
+    regular_block_erasures,
+)
 from polarrep.patterns import PatternAssignment, family_by_name
 from polarrep.poly import EPS, Poly, count_roots_in
-from polarrep.proofcheck import (
-    certify_difference,
-    certify_dominance,
-    certify_gain,
-    endpoint_certificates,
-)
+from polarrep.proofcheck import certify_difference, certify_dominance, certify_gain
 from polarrep.search import enumerate_assignments
 
 
@@ -56,22 +55,21 @@ def test_certificate_serialization():
     assert d["interior_sample"] == {"eps": "1/2", "value": "-1/8"}
 
 
-class TestEndpointCertificates:
-    def test_one_level(self):
-        reports = endpoint_certificates(1)
-        assert reports[0]["chain"] == ["f0"]
-        assert reports[1]["chain"] == ["f1"]
-        for rep in reports:
-            assert rep["value_at_0"] == 0
-            assert rep["value_at_1"] == 1
-            assert rep["chain_matches_recursion"]
-
-    def test_three_levels_all_subwords(self):
-        reports = endpoint_certificates(3)
-        assert len(reports) == 8
-        for rep in reports:
-            assert (rep["value_at_0"], rep["value_at_1"]) == (0, 1)
-            assert rep["chain_matches_recursion"]
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_level_maps_compose_to_recursion(t):
+    """Sub-codeword k of the fully polarized pattern composes the level maps
+    f0 = z + z**2 - z**3 and f1 = z**2 along the bits of k, most significant
+    first, and degenerates to 0 at eps = 0 and 1 at eps = 1."""
+    f0 = EPS + EPS**2 - EPS**3
+    f1 = EPS**2
+    per = regular_block_erasures(0, t)
+    assert len(per) == 1 << t
+    for k, z in enumerate(per):
+        acc = EPS
+        for level in range(t - 1, -1, -1):
+            acc = (f1 if (k >> level) & 1 else f0).compose(acc)
+        assert acc == z
+        assert (z.evaluate(0), z.evaluate(1)) == (0, 1)
 
 
 class TestDominance:

@@ -206,6 +206,6 @@ def test_design_factor_table(name):
     for kern in (fam[0], fam[len(fam) // 2], fam[len(fam) - 1]):
         for mult in (1, 2, fam.size):
             for k in range(fam.size):
-                assert _design_factor(kern.rows, mult, k) == _design_factor.__wrapped__(
-                    kern.rows, mult, k
+                assert _design_factor(kern, mult, k) == _design_factor.__wrapped__(
+                    kern, mult, k
                 )
