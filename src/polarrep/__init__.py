@@ -1,9 +1,14 @@
 """Polar coded repetition over binary erasure channels.
 
 Exact effective-channel analysis for repetition schemes whose blocks carry
-modified polarization kernels, an exhaustive pattern search, Sturm-certified
-capacity-gain proofs, and a working encoder/decoder with a brute-force
-oracle and Monte Carlo simulator.
+modified polarization kernels, an exhaustive pattern search, exact
+capacity-gain proofs (Budan's 0-1 test, with Sturm root counting where sign
+variations remain), and a working encoder/decoder with a brute-force oracle
+and Monte Carlo simulator.
+
+The encoder/decoder names come from :mod:`polarrep.codec`, the only module
+that needs numpy; they are resolved on first use, so the exact analysis
+imports without numpy.
 """
 
 from .channel_algebra import (
@@ -11,18 +16,6 @@ from .channel_algebra import (
     check_combine,
     repeat_channel,
     standard_synthetic_channel,
-)
-from .codec import (
-    CodeSpec,
-    DecodeFailure,
-    SimReport,
-    compare_oracle_with_analysis,
-    design_code,
-    encode,
-    exact_erasure_oracle,
-    monte_carlo,
-    oracle_spec,
-    sc_decode,
 )
 from .effective_channels import (
     EffectiveChannelSet,
@@ -51,5 +44,21 @@ from .proofcheck import (
     certify_gain,
 )
 from .search import DEFAULT_GRID, SearchReport, best_assignment, enumerate_assignments
+
+_CODEC_EXPORTS = frozenset({
+    "CodeSpec", "DecodeFailure", "SimReport", "compare_oracle_with_analysis",
+    "design_code", "encode", "exact_erasure_oracle", "monte_carlo",
+    "oracle_spec", "sc_decode",
+})
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names missing from the module namespace.
+    if name in _CODEC_EXPORTS:
+        from . import codec
+
+        return getattr(codec, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -27,13 +27,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .codec import (
-    compare_oracle_with_analysis,
-    design_code,
-    erasure_probability,
-    monte_carlo,
-    synthetic_erasure_ratios,
-)
 from .effective_channels import (
     assignment_erasures,
     coded_repetition_scheme,
@@ -41,7 +34,7 @@ from .effective_channels import (
 )
 from .patterns import PatternAssignment, family_by_name, kernel_ref, regular_family
 from .poly import EPS, Poly
-from .proofcheck import certify_difference, certify_gain
+from .proofcheck import MAX_GAIN_T, certify_difference, certify_gain, check_gain_level
 from .search import DEFAULT_GRID, best_assignment
 
 
@@ -175,6 +168,8 @@ def cmd_prove(args) -> int:
     grid = _grid(args)
     if args.custom is None and not args.t:
         raise ValueError("nothing to prove: pass --t and/or --custom")
+    for t in args.t or []:
+        check_gain_level(t)
     certificates = []
     all_certified = True
     if args.custom is not None:
@@ -281,6 +276,15 @@ def _simulate_family(args):
 
 
 def cmd_simulate(args) -> int:
+    # The codec needs numpy, which no other command loads.
+    from .codec import (
+        compare_oracle_with_analysis,
+        design_code,
+        erasure_probability,
+        monte_carlo,
+        synthetic_erasure_ratios,
+    )
+
     _require(args, "m", "assign")
     family = _simulate_family(args)
     t = family.size.bit_length() - 1
@@ -361,7 +365,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = command("prove", help="capacity-gain certificates")
     p.add_argument("--t", type=_int_list, default=None,
-                   help="comma-separated level counts (r = 2**t)")
+                   help=f"comma-separated level counts, 1..{MAX_GAIN_T} (r = 2**t)")
     p.add_argument("--custom", default=None,
                    help="certify a custom difference polynomial: num/den coefficients, lowest degree first")
     p.add_argument("--sample", type=_fraction, default=Fraction(1, 2))

@@ -2,17 +2,18 @@
 
 A gain certificate has three ingredients, each exact: the difference
 polynomial's values at the interval endpoints, the number of its distinct
-real roots in the open interval (0, 1) counted by a Sturm chain (the chain is
-the witness), and its sign at one interior sample.  Zero roots plus a strict
-interior sign proves a strict inequality on all of (0, 1); endpoint values
-document where the difference degenerates.  Refutation is a first-class
-outcome so the same tooling can honestly evaluate patterns that do not beat
-plain repetition.
+real roots in the open interval (0, 1), and its sign at one interior sample.
+Zero roots plus a strict interior sign proves a strict inequality on all of
+(0, 1); endpoint values document where the difference degenerates.
+Refutation is a first-class outcome so the same tooling can honestly
+evaluate patterns that do not beat plain repetition.
 
-A dominance check needs a verdict, not a witness.  It tries Budan's 0-1 test
-first (Descartes' rule of signs after one integer Taylor shift), whose zero
-sign variations already prove there is no root in (0, 1), and builds a Sturm
-chain only when variations remain.
+The roots are excluded by Budan's 0-1 test (Descartes' rule of signs after
+one integer Taylor shift): zero sign variations prove there is no root in
+(0, 1), and anyone can re-check the count from the printed difference.  Only
+when variations remain is a Sturm chain built; it counts the roots exactly
+and is printed as the witness.  Dominance checks need a verdict, not a
+witness, and take the same two steps.
 """
 
 from __future__ import annotations
@@ -20,8 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .effective_channels import regular_block_erasures
 from .poly import EPS, Poly, SturmSequence, budan_variations, count_roots_in
+
+#: Largest level count ``certify_gain`` accepts.  Every t = 1..7 is certified
+#: by Budan's test with zero variations; t = 8 (degree 6,561) is unmeasured.
+MAX_GAIN_T = 7
+
+#: The level maps of one polarizing step: sub-codeword k's erasure is their
+#: composition along the bits of k (``regular_block_erasures(0, t)``).
+_F0 = EPS + EPS**2 - EPS**3
+_F1 = EPS**2
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,10 @@ class GainCertificate:
 
     ``difference_poly`` is the sum of the polarized block's per-sub-codeword
     erasures minus r*eps; the scheme wins wherever it is negative.
+    ``method`` names the root test that settled ``roots_in_open_unit``:
+    ``budan`` (zero ``budan_variations``) or ``sturm`` (the fallback, whose
+    chain is kept).  The zero difference is refuted before either runs, with
+    method ``none``.
     """
 
     r: int
@@ -39,6 +52,8 @@ class GainCertificate:
     interior_sample: tuple[Fraction, Fraction]
     roots_in_open_unit: int
     verdict: str
+    method: str
+    budan_variations: int | None
     sturm_chain: tuple[Poly, ...]
 
     @property
@@ -46,7 +61,7 @@ class GainCertificate:
         return self.verdict == "certified"
 
     def to_json_dict(self) -> dict:
-        return {
+        d = {
             "r": self.r,
             "difference": self.difference_poly.to_strings(),
             "endpoint_values": [str(v) for v in self.endpoint_values],
@@ -56,8 +71,12 @@ class GainCertificate:
             },
             "roots_in_open_unit": self.roots_in_open_unit,
             "verdict": self.verdict,
-            "sturm_chain": [p.to_strings() for p in self.sturm_chain],
+            "method": self.method,
+            "budan_variations": self.budan_variations,
         }
+        if self.method == "sturm":
+            d["sturm_chain"] = [p.to_strings() for p in self.sturm_chain]
+        return d
 
 
 def certify_difference(
@@ -67,7 +86,9 @@ def certify_difference(
 
     Certified iff the difference vanishes at 0 and 1, has no root strictly
     inside (0, 1), and is strictly negative at the interior sample.  The
-    identically-zero polynomial is refuted (no strict gain anywhere).
+    identically-zero polynomial is refuted (no strict gain anywhere).  The
+    roots are excluded by Budan's 0-1 test; a Sturm chain counts them only
+    where sign variations remain.
     """
     sample = Fraction(sample)
     if not 0 < sample < 1:
@@ -80,11 +101,17 @@ def certify_difference(
             interior_sample=(sample, Fraction(0)),
             roots_in_open_unit=0,
             verdict="refuted",
+            method="none",
+            budan_variations=None,
             sturm_chain=(),
         )
     endpoints = (difference.evaluate(0), difference.evaluate(1))
-    sturm = SturmSequence(difference)
-    roots = sturm.roots_in(0, 1)
+    variations = budan_variations(difference)
+    if variations == 0:
+        method, roots, chain = "budan", 0, ()
+    else:
+        sturm = SturmSequence(difference)
+        method, roots, chain = "sturm", sturm.roots_in(0, 1), sturm.chain
     value = difference.evaluate(sample)
     verdict = (
         "certified"
@@ -98,8 +125,18 @@ def certify_difference(
         interior_sample=(sample, value),
         roots_in_open_unit=roots,
         verdict=verdict,
-        sturm_chain=sturm.chain,
+        method=method,
+        budan_variations=variations,
+        sturm_chain=chain,
     )
+
+
+def check_gain_level(t: int) -> None:
+    """Refuse a level count outside 1..``MAX_GAIN_T`` before any work."""
+    if t < 1:
+        raise ValueError(f"need at least one level, got t={t}")
+    if t > MAX_GAIN_T:
+        raise ValueError(f"t={t} exceeds the certified range MAX_GAIN_T={MAX_GAIN_T}")
 
 
 def certify_gain(t: int, sample: Fraction = Fraction(1, 2)) -> GainCertificate:
@@ -107,14 +144,16 @@ def certify_gain(t: int, sample: Fraction = Fraction(1, 2)) -> GainCertificate:
 
     Builds the difference between the polarized block's total erasure and
     r*eps, whose strict negativity on (0, 1) is equivalent to the scheme's
-    capacity exceeding that of plain repetition.
+    capacity exceeding that of plain repetition.  The total is built by
+    composition, S_t = S_{t-1}(f0) + S_{t-1}(f1) from S_0 = eps: composing
+    is linear in the outer polynomial, so this equals the sum of the 2**t
+    sub-codeword polynomials without building them.
     """
-    if t < 1:
-        raise ValueError(f"need at least one level, got t={t}")
+    check_gain_level(t)
+    total = EPS
+    for _ in range(t):
+        total = total.compose(_F0) + total.compose(_F1)
     r = 1 << t
-    total = Poly.zero()
-    for z in regular_block_erasures(0, t):
-        total = total + z
     return certify_difference(total - EPS.scale(r), sample=sample, r=r)
 
 

@@ -1,11 +1,16 @@
 """Command-line interface behavior."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from polarrep import codec, search
+import polarrep
+from polarrep import codec, poly, proofcheck, search
 from polarrep.cli import _decimal, _exact, main
 from polarrep.codec import synthetic_erasure_values
 from polarrep.effective_channels import assignment_erasures
@@ -70,6 +75,23 @@ def test_prove_gain(capsys):
     # curve data: total erasure strictly below r*eps at every grid point
     for row in t2["curve"]:
         assert float(row["sum_erasure_decimal"]) < float(row["r_eps_decimal"])
+
+
+@pytest.mark.parametrize("t", ["8", "1,8"])
+def test_prove_level_count_checked_before_building(monkeypatch, capsys, t):
+    def built(*args):
+        raise AssertionError("gain polynomial built before the level check")
+
+    monkeypatch.setattr(proofcheck, "regular_block_erasures", built, raising=False)
+    monkeypatch.setattr(poly.Poly, "compose", built)
+    code = main(["prove", "--t", t])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["reason"] == (
+        "t=8 exceeds the certified range MAX_GAIN_T=7"
+    )
 
 
 def test_prove_custom_zero_refuted(capsys):
@@ -333,3 +355,41 @@ def test_kernels_command(capsys):
         [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
     ]
     assert "1 0 0 0" in doc["kernels"][0]["grid"]
+
+
+NO_NUMPY = """
+import contextlib, io, sys
+from fractions import Fraction
+import polarrep, polarrep.cli
+from polarrep.cli import main
+for argv in (
+    ["search", "--family", "reg2"],
+    ["prove", "--t", "1,2", "--custom", "0,-7/20,27/20,-2,1"],
+    ["curves", "--r", "2,4"],
+    ["analyze", "--family", "irr4", "--assign", "2,5,7,7"],
+    ["kernels", "--refs", "reg4:0,irr4:7"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--reproducible"]) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded"
+from polarrep import CodeSpec, design_code
+assert "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "64",
+                 "--reproducible"])
+assert code == 0 and '"command": "simulate"' in out.getvalue()
+print(isinstance(design_code(3, 1, polarrep.PatternAssignment([0, 1]), Fraction(1, 2), 4,
+                             polarrep.family_by_name("reg2")), CodeSpec))
+"""
+
+
+def test_non_codec_commands_leave_numpy_unloaded():
+    """Only ``simulate`` needs the codec, and with it numpy; the package's
+    codec exports still resolve on first use."""
+    src = str(Path(polarrep.__file__).parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"

@@ -1,28 +1,41 @@
-"""Certificates: capacity gain, endpoint values, and dominance."""
+"""Certificates: capacity gain, endpoint values, the root-exclusion witness,
+and dominance."""
 
 from fractions import Fraction as F
 
 import pytest
 
+from polarrep import poly, proofcheck
 from polarrep.effective_channels import (
     assignment_erasures,
     coded_repetition_scheme,
     regular_block_erasures,
 )
 from polarrep.patterns import PatternAssignment, family_by_name
-from polarrep.poly import EPS, Poly, count_roots_in
-from polarrep.proofcheck import certify_difference, certify_dominance, certify_gain
+from polarrep.poly import EPS, Poly, budan_variations, count_roots_in
+from polarrep.proofcheck import (
+    MAX_GAIN_T,
+    certify_difference,
+    certify_dominance,
+    certify_gain,
+)
 from polarrep.search import enumerate_assignments
 
+#: -eps (1 - eps) ((eps - 1/2)**2 + 1/10): negative on (0, 1), yet Budan's
+#: test counts two sign variations there (a complex pair near 1/2).
+NEEDS_STURM = Poly([0, F(-7, 20), F(27, 20), -2, 1])
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
+
+@pytest.mark.parametrize("t", range(1, MAX_GAIN_T + 1))
 def test_gain_certified(t):
     cert = certify_gain(t)
     assert cert.certified
     assert cert.r == 1 << t
+    assert cert.difference_poly.degree == 3**t
     assert cert.endpoint_values == (0, 0)
     assert cert.roots_in_open_unit == 0
     assert cert.interior_sample[1] < 0
+    assert (cert.method, cert.budan_variations, cert.sturm_chain) == ("budan", 0, ())
 
 
 def test_gain_two_blocks_values():
@@ -39,7 +52,12 @@ def test_gain_verdict_sample_independent(sample):
 
 def test_degenerate_zero_difference_refuted():
     # All-identity in place of the polarized block: no strict gain anywhere.
-    assert certify_difference(Poly.zero()).verdict == "refuted"
+    cert = certify_difference(Poly.zero())
+    assert cert.verdict == "refuted"
+    # Refuted before any root test runs, so there is no witness.
+    d = cert.to_json_dict()
+    assert (d["method"], d["budan_variations"]) == ("none", None)
+    assert "sturm_chain" not in d
 
 
 def test_positive_difference_refuted():
@@ -51,8 +69,54 @@ def test_certificate_serialization():
     d = certify_gain(1).to_json_dict()
     assert d["verdict"] == "certified"
     assert d["roots_in_open_unit"] == 0
-    assert d["sturm_chain"]
+    assert (d["method"], d["budan_variations"]) == ("budan", 0)
+    assert "sturm_chain" not in d
     assert d["interior_sample"] == {"eps": "1/2", "value": "-1/8"}
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_budan_verdict_agrees_with_sturm(t):
+    d = certify_gain(t).difference_poly
+    assert count_roots_in(d, 0, 1) == budan_variations(d) == 0
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_composed_sum_equals_leaf_sum(t):
+    leaves = Poly.zero()
+    for z in regular_block_erasures(0, t):
+        leaves = leaves + z
+    assert certify_gain(t).difference_poly == leaves - EPS.scale(1 << t)
+
+
+def test_sturm_fallback_certifies():
+    assert budan_variations(NEEDS_STURM) == 2
+    cert = certify_difference(NEEDS_STURM)
+    assert cert.certified
+    assert (cert.method, cert.budan_variations, cert.roots_in_open_unit) == ("sturm", 2, 0)
+    assert cert.interior_sample == (F(1, 2), F(-1, 40))
+    d = cert.to_json_dict()
+    assert d["sturm_chain"] == [p.to_strings() for p in cert.sturm_chain]
+    assert len(d["sturm_chain"]) > 1
+
+
+def test_interior_roots_refuted():
+    # -eps (1 - eps) (eps - 1/5) (eps - 2/5): negative at 1/2, roots at 1/5, 2/5.
+    d = -(EPS * (Poly.one() - EPS) * (EPS - Poly.const(F(1, 5))) * (EPS - Poly.const(F(2, 5))))
+    cert = certify_difference(d)
+    assert cert.interior_sample[1] < 0
+    assert cert.verdict == "refuted"
+    assert (cert.method, cert.roots_in_open_unit) == ("sturm", 2)
+    assert cert.budan_variations >= 2
+
+
+def test_level_count_checked_before_building(monkeypatch):
+    def built(*args):
+        raise AssertionError("gain polynomial built before the level check")
+
+    monkeypatch.setattr(proofcheck, "regular_block_erasures", built, raising=False)
+    monkeypatch.setattr(poly.Poly, "compose", built)
+    with pytest.raises(ValueError, match="MAX_GAIN_T=7"):
+        certify_gain(MAX_GAIN_T + 1)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])

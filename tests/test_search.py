@@ -8,7 +8,7 @@ import pytest
 from polarrep.effective_channels import _design_factor, assignment_erasures
 from polarrep.patterns import PatternAssignment, family_by_name
 from polarrep import poly, search
-from polarrep.proofcheck import certify_dominance, certify_gain
+from polarrep.proofcheck import certify_difference, certify_dominance
 from polarrep.search import (
     DEFAULT_GRID,
     SearchReport,
@@ -79,8 +79,10 @@ def test_irregular_dominance_builds_no_sturm_chain(monkeypatch):
     report = best_assignment(family_by_name("irr4"))
     assert report.dominance_certified
     assert built == []  # Budan's 0-1 test settled all 329 differences
-    certify_gain(1)  # the counter does see a chain when one is built
-    assert built == [3]
+    # The counter does see a chain when one is built: Budan's test leaves two
+    # variations on -eps (1 - eps) ((eps - 1/2)**2 + 1/10).
+    certify_difference(poly.Poly([0, F(-7, 20), F(27, 20), -2, 1]))
+    assert built == [4]
 
 
 def test_best_beats_pure_repetition_everywhere():
