@@ -6,9 +6,10 @@ capacity-gain proofs (Budan's 0-1 test, with Sturm root counting where sign
 variations remain), and a working encoder/decoder with a brute-force oracle
 and Monte Carlo simulator.
 
-The encoder/decoder names come from :mod:`polarrep.codec`, the only module
-that needs numpy; they are resolved on first use, so the exact analysis
-imports without numpy.
+The encoder/decoder names come from :mod:`polarrep.codec` and are resolved
+on first use, so the exact analysis never imports the codec.  numpy is
+needed only by the Monte Carlo draws and ``erasure_flow``, which import it
+when called: the codec, its design and its exact oracle run without it.
 """
 
 from .channel_algebra import (

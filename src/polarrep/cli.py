@@ -4,8 +4,10 @@ Five subcommands: ``analyze`` (effective channels of one assignment),
 ``search`` (exhaustive assignment search), ``prove`` (capacity-gain
 certificates), ``curves`` (capacity curve table), ``simulate`` (Monte Carlo
 runs and the exact oracle comparison).  Every command writes one JSON or CSV
-document to stdout or ``--out`` and exits 0 exactly when the requested
-certification or validation succeeded.  Bad input values and unreadable
+document to stdout or ``--out``.  ``prove`` exits 0 exactly when every
+requested certificate holds; the others exit 0 once the document is written,
+whatever it reports (an uncertified ``search`` winner, or a ``simulate
+--oracle`` run with ``"equal": false``).  Bad input values and unreadable
 files exit 1 with one compact JSON object on stderr; malformed flags are
 left to argparse, which prints its usage and exits 2.  Flags are never
 abbreviated: a prefix such as ``--r`` for ``--reproducible`` is malformed.
@@ -268,6 +270,8 @@ def cmd_curves(args) -> int:
 
 
 def _simulate_family(args):
+    if args.family and args.r is not None:
+        raise ValueError("pass --family or --r, not both")
     if args.family:
         return family_by_name(args.family)
     if args.r is None:
@@ -276,7 +280,7 @@ def _simulate_family(args):
 
 
 def cmd_simulate(args) -> int:
-    # The codec needs numpy, which no other command loads.
+    # The codec loads on first use; only its Monte Carlo draws import numpy.
     from .codec import (
         compare_oracle_with_analysis,
         design_code,
@@ -286,6 +290,16 @@ def cmd_simulate(args) -> int:
     )
 
     _require(args, "m", "assign")
+    # Refuse what the run would ignore, before any design work.
+    monte_carlo_only = {"--eps": args.eps, "--design-eps": args.design_eps, "--k": args.k,
+                        "--trials": args.trials, "--seed": args.seed, "--exact": args.exact or None}
+    if args.oracle:
+        unused = [flag for flag, value in monte_carlo_only.items() if value is not None]
+        unused += ["--format csv"] if args.format == "csv" else []
+        if unused:
+            raise ValueError(f"simulate --oracle ignores {', '.join(unused)}")
+    elif args.exact and args.format == "csv":
+        raise ValueError("simulate --format csv ignores --exact: CSV prints decimals")
     family = _simulate_family(args)
     t = family.size.bit_length() - 1
     assignment = PatternAssignment(args.assign)
@@ -295,20 +309,23 @@ def cmd_simulate(args) -> int:
         return 0
     m = args.m
     k = args.k if args.k is not None else (1 << m) // 2
+    eps = args.eps if args.eps is not None else Fraction(1, 2)
+    trials = args.trials if args.trials is not None else 10_000
+    seed = args.seed or 0
     # Check the run's own inputs before the design, which can take seconds;
     # --eps also names the design point by default, so it is checked as itself.
-    erasure_probability(args.eps)
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    design_eps = args.design_eps if args.design_eps is not None else args.eps
+    erasure_probability(eps)
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+    design_eps = args.design_eps if args.design_eps is not None else eps
     spec = design_code(m, t, assignment, design_eps, k, family)
-    report = monte_carlo(spec, args.eps, args.trials, seed=args.seed)
+    report = monte_carlo(spec, eps, trials, seed=seed)
     design = spec.design_ratios
-    if spec.design_eps != args.eps:
+    if spec.design_eps != eps:
         per = assignment_erasures(assignment, family).per_subword
-        design = synthetic_erasure_ratios(per, m - t, args.eps)
+        design = synthetic_erasure_ratios(per, m - t, eps)
     if args.format == "csv":
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)
@@ -388,11 +405,11 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--assign", type=_int_list, default=None)
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
+    p.add_argument("--eps", type=_fraction, default=None, help="default 1/2")
     p.add_argument("--design-eps", type=_fraction, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=None, help="default 10000")
+    p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--oracle", action="store_true",
                    help="run the exact enumeration oracle comparison instead")
     p.add_argument("--exact", action="store_true",

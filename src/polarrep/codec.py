@@ -12,20 +12,22 @@ erased (else XOR), a variable combine erases only if all inputs are erased
 
 That schedule is written once, in ``_walk``; what a combine does to a
 message comes from one of three op sets: ``_Values`` for ``sc_decode``,
-``_Flags`` for ``erasure_flow`` and ``_Tally`` for
-``decode_operation_count``, so the three cannot drift apart.
+``_Flags`` for the erasure flow (``erasure_flow``, the oracle and the Monte
+Carlo) and ``_Tally`` for ``decode_operation_count``, so the three cannot
+drift apart.
 
 Because erasure propagation does not depend on the transmitted values, the
 per-bit behavior of this decoder is a deterministic function of the erasure
 pattern.  Every flag combine is an AND or an OR, so the flow runs
-bit-sliced: 64 patterns share one ``uint64`` word, bit s of word w holding
-pattern 64w + s, and one walk decides all of them.  ``erasure_flow``
-evaluates that function for whole batches of patterns at once; the
-brute-force oracle feeds it every pattern of a short code to get exact
-per-bit erasure polynomials, and the Monte Carlo driver packs sampled
-patterns straight into words and counts failures by popcount.  The oracle
-is the ground truth the design analysis in
-:mod:`polarrep.effective_channels` is compared against.
+bit-sliced on Python ints: a row int holds the lanes of its symbols, one
+pattern per bit of each lane, and one walk decides all patterns at once.
+The exact oracle builds the lanes of all 2**N patterns of a short code
+directly and counts each bit's failures per pattern weight to get exact
+per-bit erasure polynomials; it is the ground truth the design analysis in
+:mod:`polarrep.effective_channels` is compared against.  numpy is imported
+only where patterns come as arrays: the Monte Carlo draws, packed straight
+into lanes (failures counted by popcount), and ``erasure_flow``'s boolean
+batches.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .effective_channels import assignment_erasures
 from .patterns import Kernel, PatternAssignment, PatternFamily, apply_kernel
 from .poly import EPS, Poly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Full enumeration of 2**N erasure patterns stays cheap up to this length.
 #: Total lengths r * 2**m are powers of two, so the next length, 32, is the
@@ -52,9 +55,10 @@ ORACLE_MAX_BITS = 16
 #: inner level, and m=15 already takes about 17 s and 600 MB.
 MAX_DESIGN_M = 15
 
-#: Symbols drawn per Monte Carlo chunk (8 MB of float64), in whole words of
-#: 64 trials and at least one word; the flow runs on batches of up to this
-#: many packed words, so memory stays bounded whatever the trial count.
+#: Symbols drawn per Monte Carlo chunk (8 MB of float64), in whole groups of
+#: 64 trials and at least one group; the flow runs on batches of up to 64
+#: times this many pattern-symbols (8 MB of lanes), so memory stays bounded
+#: whatever the trial count.
 MC_CHUNK_DRAWS = 1 << 20
 
 
@@ -383,54 +387,66 @@ def sc_decode(spec: CodeSpec, received: Sequence[int | None]) -> list[int]:
 
 # -- batched genie-aided erasure propagation --------------------------------
 
-def _inner_flags(msgs: np.ndarray) -> list[np.ndarray]:
-    if msgs.shape[1] == 1:
-        return [msgs[:, 0]]
-    h = msgs.shape[1] // 2
-    first = _inner_flags(msgs[:, :h] | msgs[:, h:])
-    second = _inner_flags(msgs[:, :h] & msgs[:, h:])
-    return first + second
+def _inner_flags(row: int, width: int, lanes: int) -> list[int]:
+    if width == 1:
+        return [row]
+    h = width // 2
+    low, high = row & ((1 << h * lanes) - 1), row >> h * lanes
+    return _inner_flags(low | high, h, lanes) + _inner_flags(low & high, h, lanes)
 
 
 class _Flags:
-    """Messages are bit-packed erasure masks, rows first, then (words,
-    width); values are never needed because erasure propagation does not
-    depend on them, so interference removal leaves a mask unchanged."""
+    """Messages are lists of row ints, one per kernel position: a row holds
+    the erasure lanes of its ``width`` symbols, symbol i at bits i*lanes to
+    (i+1)*lanes - 1 and bit s of a lane for pattern s.  Values are never
+    needed because erasure propagation does not depend on them, so
+    interference removal leaves a mask unchanged."""
+
+    def __init__(self, width: int, lanes: int):
+        self.width = width
+        self.lanes = lanes
 
     def merge(self, msgs):
-        return functools.reduce(operator.and_, msgs)
+        return [functools.reduce(operator.and_, rows) for rows in zip(*msgs)]
 
     def check(self, msg, estimate):
-        return msg | estimate
+        return list(map(operator.or_, msg, estimate))
 
     def cancel(self, msg, a: Kernel, known):
         return msg
 
     def leaf(self, msg, j: int):
-        return _inner_flags(msg[0])
+        return _inner_flags(msg[0], self.width, self.lanes)
+
+
+def _flow(spec: CodeSpec, rows: list[int], lanes: int) -> list[int]:
+    """Erasure lane of every u-bit, given the r*r row ints of the received
+    blocks (row q holds symbols q*inner_len onwards)."""
+    leaves = _walk(_carriers(spec, rows), _Flags(spec.inner_len, lanes))
+    return [f for leaf in leaves for f in leaf]
 
 
 def _pack(erased: np.ndarray) -> np.ndarray:
-    """Boolean (batch, symbols) patterns as ``uint64`` (words, symbols): bit
-    s of word w is pattern 64w + s.  Padding patterns are all zero, and an
-    unerased pattern flags nothing, so they never count as failures."""
+    """Boolean (batch, symbols) patterns as symbol-major ``uint8`` lanes
+    (symbols, bytes): bit k of byte b is pattern 8b + k.  Padding patterns
+    are all zero, and an unerased pattern flags nothing, so they never count
+    as failures."""
+    import numpy as np
+
     batch, n_sym = erased.shape
-    words = -(-batch // 64)
-    if batch % 64:
-        erased = np.concatenate([erased, np.zeros((words * 64 - batch, n_sym), dtype=bool)])
-    lanes = erased.reshape(words, 64, n_sym)
-    packed = np.zeros((words, n_sym), dtype=np.uint64)
-    for s in range(64):
-        packed |= lanes[:, s].astype(np.uint64) << np.uint64(s)
-    return packed
+    size = -(-batch // 8)
+    if batch % 8:
+        erased = np.concatenate([erased, np.zeros((size * 8 - batch, n_sym), dtype=bool)])
+    octets = erased.view(np.uint8).reshape(size, 8, n_sym) << np.arange(8, dtype=np.uint8)[:, None]
+    return np.bitwise_or.reduce(octets, axis=1).T
 
 
-def _flow_words(spec: CodeSpec, packed: np.ndarray) -> np.ndarray:
-    """Per-bit erasure flags of packed patterns: ``uint64`` (words,
-    total_len) in, (words, 2**m) out, lanes as in ``_pack``."""
-    rows = packed.reshape(len(packed), -1, spec.inner_len).transpose(1, 0, 2)
-    leaves = _walk(_carriers(spec, rows), _Flags())
-    return np.stack([f for leaf in leaves for f in leaf], axis=1)
+def _rows(lanes: np.ndarray, width: int) -> list[int]:
+    """Row ints of contiguous symbol-major lanes, ``width`` symbols per row,
+    read through one memoryview."""
+    data = memoryview(lanes).cast("B")
+    step = width * lanes.shape[1]
+    return [int.from_bytes(data[q : q + step], "little") for q in range(0, len(data), step)]
 
 
 def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
@@ -441,13 +457,18 @@ def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
     undetermined in pattern s when all earlier bits are known.  Value
     tracking is unnecessary: erasure propagation is value-independent.
     """
+    import numpy as np
+
+    erased = np.asarray(erased, dtype=bool)
     batch, n_sym = erased.shape
     if n_sym != spec.total_len:
         raise ValueError(f"expected {spec.total_len} symbols, got {n_sym}")
-    flags = _flow_words(spec, _pack(erased))
-    shifts = np.arange(64, dtype=np.uint64)[:, None]
-    bits = (flags[:, None, :] >> shifts) & np.uint64(1)
-    return bits.astype(bool).reshape(-1, spec.n)[:batch]
+    lanes = np.ascontiguousarray(_pack(erased))
+    size = lanes.shape[1]
+    flags = _flow(spec, _rows(lanes, spec.inner_len), 8 * size)
+    data = np.frombuffer(b"".join(f.to_bytes(size, "little") for f in flags), dtype=np.uint8)
+    bits = np.unpackbits(data.reshape(spec.n, size), axis=1, count=batch, bitorder="little")
+    return bits.T.astype(bool)
 
 
 # -- operation count ---------------------------------------------------------
@@ -489,9 +510,10 @@ def decode_operation_count(spec: CodeSpec) -> int:
 def exact_erasure_oracle(spec: CodeSpec) -> list[Poly]:
     """Exact per-u-bit erasure polynomials of the operational decoder.
 
-    Enumerates every erasure pattern of the full code, runs the genie-aided
-    decoder on all of them, and assembles, for each bit, the exact
-    polynomial sum of eps**w (1-eps)**(N-w) over failing patterns.  Requires
+    Runs the genie-aided decoder once on the lanes of all 2**N erasure
+    patterns of the full code (bit p of a lane is pattern p), counts each
+    bit's failing patterns per weight w, and assembles the exact polynomial
+    sum of eps**w (1-eps)**(N-w) over them.  Needs no numpy.  Requires
     every bit unfrozen (the oracle characterizes channels, not one code) and
     a total length of at most ORACLE_MAX_BITS.
     """
@@ -500,21 +522,27 @@ def exact_erasure_oracle(spec: CodeSpec) -> list[Poly]:
         raise ValueError("oracle requires a spec with all bits unfrozen")
     if n_sym > ORACLE_MAX_BITS:
         raise ValueError(f"total length {n_sym} exceeds oracle bound {ORACLE_MAX_BITS}")
-    counts = np.zeros((spec.n, n_sym + 1), dtype=np.int64)
-    idx = np.arange(1 << n_sym, dtype=np.uint32)
-    patterns = ((idx[:, None] >> np.arange(n_sym, dtype=np.uint32)) & 1).astype(bool)
-    weights = patterns.sum(axis=1)
-    flags = erasure_flow(spec, patterns)
-    for i in range(spec.n):
-        counts[i] = np.bincount(weights[flags[:, i]], minlength=n_sym + 1)
+    # Pattern p erases symbol i when bit i of p is set, so symbol i's lane
+    # repeats 2**i zeros then 2**i ones; by_weight[w] marks the patterns of
+    # weight w, built one symbol at a time.
+    lanes = 1 << n_sym
+    full = (1 << lanes) - 1
+    symbols = [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i))
+               for i in range(n_sym)]
+    width = spec.inner_len
+    rows = [sum(lane << j * lanes for j, lane in enumerate(symbols[q : q + width]))
+            for q in range(0, n_sym, width)]
+    by_weight = [1]
+    for i in range(n_sym):
+        by_weight = [a | b << (1 << i) for a, b in zip(by_weight + [0], [0] + by_weight)]
+    counts = [[(f & mask).bit_count() for mask in by_weight] for f in _flow(spec, rows, lanes)]
     one_minus = [Poly.one()]
     for _ in range(n_sym):
         one_minus.append(one_minus[-1] * (Poly.one() - EPS))
     polys = []
-    for i in range(spec.n):
+    for per_weight in counts:
         acc = Poly.zero()
-        for w in range(n_sym + 1):
-            c = int(counts[i, w])
+        for w, c in enumerate(per_weight):
             if c:
                 acc = acc + (Poly.monomial(w, c) * one_minus[n_sym - w])
         polys.append(acc)
@@ -582,38 +610,45 @@ def monte_carlo(
     ``MC_CHUNK_DRAWS`` symbols, in whole words of 64 trials, is drawn into
     one reused float64 buffer with ``rng.random(out=...)``, which yields the
     same doubles in the same trial order as one ``rng.random((trials,
-    total_len))``, so the chunking changes no result.  Chunks are packed 64
-    trials per word, the flow runs once per batch of up to
-    ``MC_CHUNK_DRAWS`` words, and failures are counted by popcount.
+    total_len))``, so the chunking changes no result.  Chunks are packed
+    into the symbol lanes of a batch of up to 64 * ``MC_CHUNK_DRAWS``
+    pattern-symbols, the flow runs once per batch on Python ints, and
+    failures are counted with ``int.bit_count``.  Only this stream needs
+    numpy, so it is imported here.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     eps = erasure_probability(eps)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     info = list(spec.info_positions)
-    bit_fail = np.zeros(spec.n, dtype=np.int64)
+    bit_fail = [0] * spec.n
     block_fail = 0
     p = float(eps)
     n_sym = spec.total_len
     chunk = 64 * max(1, MC_CHUNK_DRAWS // n_sym // 64)
     per_batch = 64 * max(1, MC_CHUNK_DRAWS // n_sym)
-    # Allocated once, so memory does not grow with the number of batches.
-    words = np.empty((-(-min(per_batch, trials) // 64), n_sym), dtype=np.uint64)
-    draws = np.empty((min(chunk, trials), n_sym))
-    erased = np.empty(draws.shape, dtype=bool)
     done = 0
     while done < trials:
         batch = min(per_batch, trials - done)
+        draws = np.empty((min(chunk, batch), n_sym))
+        erased = np.empty(draws.shape, dtype=bool)
+        lanes = np.empty((n_sym, -(-batch // 8)), dtype=np.uint8)
         for start in range(0, batch, chunk):
             size = min(chunk, batch - start)
             rng.random(out=draws[:size])
             np.less(draws[:size], p, out=erased[:size])
-            words[start // 64 : -(-(start + size) // 64)] = _pack(erased[:size])
-        flags = _flow_words(spec, words[: -(-batch // 64)])
-        bit_fail += np.bitwise_count(flags).sum(axis=0, dtype=np.int64)
+            lanes[:, start // 8 : -(-(start + size) // 8)] = _pack(erased[:size])
+        # Each buffer goes as soon as the next stage has read it, which
+        # keeps the peak below holding the draws, lanes and rows at once.
+        del draws, erased
+        rows = _rows(lanes, spec.inner_len)
+        del lanes
+        flags = _flow(spec, rows, 8 * -(-batch // 8))
+        bit_fail = [n + f.bit_count() for n, f in zip(bit_fail, flags)]
         if info:
-            failed = np.bitwise_or.reduce(flags[:, info], axis=1)
-            block_fail += int(np.bitwise_count(failed).sum(dtype=np.int64))
+            block_fail += functools.reduce(operator.or_, [flags[i] for i in info]).bit_count()
         done += batch
     ops_each = decode_operation_count(spec)
     return SimReport(
@@ -621,7 +656,7 @@ def monte_carlo(
         eps=eps,
         trials=trials,
         seed=seed,
-        per_bit_rates=tuple(float(v) / trials for v in bit_fail),
+        per_bit_rates=tuple(v / trials for v in bit_fail),
         block_error_rate=block_fail / trials,
         operations=ops_each * trials,
         operations_per_decode=ops_each,

@@ -323,6 +323,34 @@ def test_simulate_size_checked_before_design(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "flags, reason",
     [
+        (["--oracle", "--format", "csv"], "simulate --oracle ignores --format csv"),
+        (["--exact", "--format", "csv"], "simulate --format csv ignores --exact: CSV prints decimals"),
+        (["--oracle", "--trials", "5", "--seed", "1", "--exact"],
+         "simulate --oracle ignores --trials, --seed, --exact"),
+        (["--oracle", "--eps", "1/2", "--design-eps", "1/3", "--k", "2"],
+         "simulate --oracle ignores --eps, --design-eps, --k"),
+        (["--r", "8"], "pass --family or --r, not both"),
+        (["--oracle", "--r", "4"], "pass --family or --r, not both"),
+    ],
+    ids=["oracle-csv", "exact-csv", "oracle-trials-seed-exact", "oracle-eps-design-eps-k",
+         "family-and-r", "oracle-family-and-r"],
+)
+def test_simulate_ignored_flags_refused(monkeypatch, capsys, flags, reason):
+    def designed(*args):
+        raise AssertionError("code designed although the run ignores a flag")
+
+    monkeypatch.setattr(codec, "design_code", designed)
+    code = main(["simulate", "--family", "irr4", "--m", "2", "--assign", "2,5,7,7", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"status": "error", "reason": reason}
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
         (["--trials", "0"], "--trials must be at least 1, got 0"),
         (["--trials", "-3"], "--trials must be at least 1, got -3"),
         (["--seed", "-1"], "--seed must be non-negative, got -1"),
@@ -368,24 +396,26 @@ for argv in (
     ["curves", "--r", "2,4"],
     ["analyze", "--family", "irr4", "--assign", "2,5,7,7"],
     ["kernels", "--refs", "reg4:0,irr4:7"],
+    ["simulate", "--oracle", "--family", "irr4", "--m", "2", "--assign", "2,5,7,7"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + ["--reproducible"]) == 0, argv
-assert "numpy" not in sys.modules, "numpy loaded"
 from polarrep import CodeSpec, design_code
-assert "numpy" in sys.modules
+print(isinstance(design_code(3, 1, polarrep.PatternAssignment([0, 1]), Fraction(1, 2), 4,
+                             polarrep.family_by_name("reg2")), CodeSpec))
+assert "numpy" not in sys.modules, "numpy loaded"
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "64",
                  "--reproducible"])
 assert code == 0 and '"command": "simulate"' in out.getvalue()
-print(isinstance(design_code(3, 1, polarrep.PatternAssignment([0, 1]), Fraction(1, 2), 4,
-                             polarrep.family_by_name("reg2")), CodeSpec))
+assert "numpy" in sys.modules
 """
 
 
 def test_non_codec_commands_leave_numpy_unloaded():
-    """Only ``simulate`` needs the codec, and with it numpy; the package's
-    codec exports still resolve on first use."""
+    """Only the Monte Carlo draws need numpy: every other command, the
+    oracle and ``design_code`` run without it, and the package's codec
+    exports still resolve on first use."""
     src = str(Path(polarrep.__file__).parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

@@ -26,7 +26,7 @@ from polarrep.codec import (
 )
 from polarrep.effective_channels import assignment_erasures
 from polarrep.patterns import PatternAssignment, family_by_name, regular_family
-from polarrep.poly import EPS
+from polarrep.poly import EPS, Poly
 from polarrep.search import enumerate_assignments
 
 REG2 = family_by_name("reg2")
@@ -242,6 +242,9 @@ class TestScDecode:
                 )
                 flags = erasure_flow(spec, patterns)
                 assert flags.shape == (batch, spec.n) and flags.dtype == bool
+                # 0/1 integers and column-major arrays read as the same patterns.
+                assert (erasure_flow(spec, patterns.astype(np.int64)) == flags).all()
+                assert (erasure_flow(spec, np.asfortranarray(patterns)) == flags).all()
                 for pattern, row in zip(patterns, flags):
                     check(spec, pattern, row)
 
@@ -292,6 +295,41 @@ class TestOracle:
         big = oracle_spec(REG2, A01, 4, 1)
         with pytest.raises(ValueError):
             exact_erasure_oracle(big)
+
+    @pytest.mark.parametrize(
+        "name, indices, m",
+        [
+            ("reg2", [0, 1], 2),
+            ("reg2", [1, 1], 2),
+            ("reg2", [0, 1], 3),
+            ("reg4", [1, 2, 3, 3], 2),
+            ("irr4", [2, 5, 7, 7], 2),
+        ],
+    )
+    def test_oracle_lanes_match_erasure_flow(self, name, indices, m):
+        # The oracle builds its 2**N lanes directly; erasure_flow packs the
+        # same patterns from booleans (N = 8 and 16; r = 4 needs m >= 2).  Bernstein polynomials are a basis, so
+        # equal polynomials mean equal per-bit, per-weight failure counts.
+        family = family_by_name(name)
+        spec = oracle_spec(family, PatternAssignment(indices), m, family.size.bit_length() - 1)
+        n_sym = spec.total_len
+        idx = np.arange(1 << n_sym)
+        patterns = (idx[:, None] >> np.arange(n_sym)) & 1 == 1
+        weights = patterns.sum(axis=1)
+        flags = erasure_flow(spec, patterns)
+        expected = []
+        for i in range(spec.n):
+            counts = np.bincount(weights[flags[:, i]], minlength=n_sym + 1)
+            expected.append(sum(
+                (Poly.monomial(w, int(c)) * (Poly.one() - EPS) ** (n_sym - w)
+                 for w, c in enumerate(counts)),
+                Poly.zero(),
+            ))
+        assert exact_erasure_oracle(spec) == expected
+
+    def test_single_symbol_oracle(self):
+        spec = oracle_spec(regular_family(0), PatternAssignment([0]), 0, 0)
+        assert exact_erasure_oracle(spec) == [EPS]
 
     def test_oracle_total_probability(self):
         # Sum over bits of (erasure + capacity) accounts for every pattern.
