@@ -13,8 +13,9 @@ left to argparse, which prints its usage and exits 2.  Flags are never
 abbreviated: a prefix such as ``--r`` for ``--reproducible`` is malformed.
 
 Rationals on the command line are parsed exactly: ``1/2`` and ``0.5`` are
-the same value.  A JSON config file can hold defaults for any flag; explicit
-flags win.
+the same value.  A JSON config file can hold defaults for any flag; a string
+value is read as if typed as that flag, by the commands that have the flag,
+and explicit flags win.
 """
 
 from __future__ import annotations
@@ -346,9 +347,10 @@ def cmd_simulate(args) -> int:
 
 # -- wiring -------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid", type=_fraction_list, default=None,
-                     help="comma-separated erasure grid (default 1/20..19/20)")
+def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
+    if grid:
+        sub.add_argument("--grid", type=_fraction_list, default=None,
+                         help="comma-separated erasure grid (default 1/20..19/20)")
     sub.add_argument("--out", default=None, help="write output to this path")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--reproducible", action="store_true",
@@ -369,7 +371,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = command("analyze", help="effective channels of one assignment")
     p.add_argument("--family", default=None)
     p.add_argument("--assign", type=_int_list, default=None)
-    _add_common(p)
+    _add_common(p, grid=True)
     p.set_defaults(func=cmd_analyze)
 
     p = command("search", help="exhaustive assignment search")
@@ -377,7 +379,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--no-certify", action="store_true",
                    help="skip the dominance certificate (Budan's 0-1 test, "
                         "then a Sturm count only where sign variations remain)")
-    _add_common(p)
+    _add_common(p, grid=True)
     p.set_defaults(func=cmd_search)
 
     p = command("prove", help="capacity-gain certificates")
@@ -386,7 +388,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--custom", default=None,
                    help="certify a custom difference polynomial: num/den coefficients, lowest degree first")
     p.add_argument("--sample", type=_fraction, default=Fraction(1, 2))
-    _add_common(p)
+    _add_common(p, grid=True)
     p.set_defaults(func=cmd_prove)
 
     p = command("kernels", help="print kernels by family:index reference")
@@ -397,7 +399,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = command("curves", help="capacity curve table")
     p.add_argument("--r", type=_int_list, default=None)
-    _add_common(p)
+    _add_common(p, grid=True)
     p.set_defaults(func=cmd_curves)
 
     p = command("simulate", help="Monte Carlo simulation / exact oracle")
@@ -418,18 +420,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     if defaults:
+        # Each command takes the config values of its own flags.  Argparse
+        # converts a string default with the flag's type, and only for the
+        # command that runs without that flag, so a value reads as if typed.
         for sub in commands.choices.values():
-            converters = {
-                a.dest: a.type for a in sub._actions if a.type is not None
-            }
             known = {a.dest for a in sub._actions}
-            typed = {}
-            for key, value in defaults.items():
-                if key not in known:
-                    continue
-                conv = converters.get(key)
-                typed[key] = conv(value) if conv and isinstance(value, str) else value
-            sub.set_defaults(**typed)
+            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     return parser
 
 

@@ -11,10 +11,11 @@ erased (else XOR), a variable combine erases only if all inputs are erased
 (conflicting known values are impossible over an erasure channel).
 
 That schedule is written once, in ``_walk``; what a combine does to a
-message comes from one of three op sets: ``_Values`` for ``sc_decode``,
+message comes from one of two op sets: ``_Values`` for ``sc_decode`` and
 ``_Flags`` for the erasure flow (``erasure_flow``, the oracle and the Monte
-Carlo) and ``_Tally`` for ``decode_operation_count``, so the three cannot
-drift apart.
+Carlo).  ``_Flags`` also counts the symbol-level combines of one decode, so
+``decode_operation_count`` and the Monte Carlo report the operations of the
+walk the decoder actually runs.
 
 Because erasure propagation does not depend on the transmitted values, the
 per-bit behavior of this decoder is a deterministic function of the erasure
@@ -400,30 +401,47 @@ class _Flags:
     the erasure lanes of its ``width`` symbols, symbol i at bits i*lanes to
     (i+1)*lanes - 1 and bit s of a lane for pattern s.  Values are never
     needed because erasure propagation does not depend on them, so
-    interference removal leaves a mask unchanged."""
+    interference removal leaves a mask unchanged.
+
+    Every combine adds the symbol-level operation count of one decode to
+    ``ops``, whatever the number of lanes; the inner decoder of a leaf costs
+    ``width * log2(width)``."""
 
     def __init__(self, width: int, lanes: int):
         self.width = width
         self.lanes = lanes
+        self.ops = 0
 
     def merge(self, msgs):
+        self.ops += (len(msgs) - 1) * len(msgs[0]) * self.width
         return [functools.reduce(operator.and_, rows) for rows in zip(*msgs)]
 
     def check(self, msg, estimate):
+        self.ops += len(msg) * self.width
         return list(map(operator.or_, msg, estimate))
 
     def cancel(self, msg, a: Kernel, known):
+        self.ops += len(msg) * self.width
         return msg
 
     def leaf(self, msg, j: int):
+        self.ops += self.width * (self.width.bit_length() - 1)
         return _inner_flags(msg[0], self.width, self.lanes)
 
 
-def _flow(spec: CodeSpec, rows: list[int], lanes: int) -> list[int]:
+def _flow(spec: CodeSpec, rows: list[int], lanes: int) -> tuple[list[int], int]:
     """Erasure lane of every u-bit, given the r*r row ints of the received
-    blocks (row q holds symbols q*inner_len onwards)."""
-    leaves = _walk(_carriers(spec, rows), _Flags(spec.inner_len, lanes))
-    return [f for leaf in leaves for f in leaf]
+    blocks (row q holds symbols q*inner_len onwards), and the combine count
+    of one decode."""
+    flags = _Flags(spec.inner_len, lanes)
+    leaves = _walk(_carriers(spec, rows), flags)
+    return [f for leaf in leaves for f in leaf], flags.ops
+
+
+def decode_operation_count(spec: CodeSpec) -> int:
+    """Deterministic combine-operation count of one decoder run: the flow
+    over one unerased pattern."""
+    return _flow(spec, [0] * (spec.r * spec.r), 1)[1]
 
 
 def _pack(erased: np.ndarray) -> np.ndarray:
@@ -465,44 +483,10 @@ def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {spec.total_len} symbols, got {n_sym}")
     lanes = np.ascontiguousarray(_pack(erased))
     size = lanes.shape[1]
-    flags = _flow(spec, _rows(lanes, spec.inner_len), 8 * size)
+    flags, _ = _flow(spec, _rows(lanes, spec.inner_len), 8 * size)
     data = np.frombuffer(b"".join(f.to_bytes(size, "little") for f in flags), dtype=np.uint8)
     bits = np.unpackbits(data.reshape(spec.n, size), axis=1, count=batch, bitorder="little")
     return bits.T.astype(bool)
-
-
-# -- operation count ---------------------------------------------------------
-
-class _Tally:
-    """Messages are row ranges (only their lengths matter); every combine
-    adds its symbol-level operation count to ``ops``."""
-
-    def __init__(self, spec: CodeSpec):
-        self.width = spec.inner_len
-        self.inner_ops = spec.inner_len * (spec.m - spec.t)
-        self.ops = 0
-
-    def merge(self, msgs):
-        self.ops += (len(msgs) - 1) * len(msgs[0]) * self.width
-        return msgs[0]
-
-    def check(self, msg, estimate):
-        self.ops += len(msg) * self.width
-        return msg
-
-    def cancel(self, msg, a: Kernel, known):
-        self.ops += len(msg) * self.width
-        return msg
-
-    def leaf(self, msg, j: int):
-        self.ops += self.inner_ops
-
-
-def decode_operation_count(spec: CodeSpec) -> int:
-    """Deterministic combine-operation count of one decoder run."""
-    tally = _Tally(spec)
-    _walk(_carriers(spec, range(spec.r * spec.r)), tally)
-    return tally.ops
 
 
 # -- exact oracle ------------------------------------------------------------
@@ -535,7 +519,7 @@ def exact_erasure_oracle(spec: CodeSpec) -> list[Poly]:
     by_weight = [1]
     for i in range(n_sym):
         by_weight = [a | b << (1 << i) for a, b in zip(by_weight + [0], [0] + by_weight)]
-    counts = [[(f & mask).bit_count() for mask in by_weight] for f in _flow(spec, rows, lanes)]
+    counts = [[(f & mask).bit_count() for mask in by_weight] for f in _flow(spec, rows, lanes)[0]]
     one_minus = [Poly.one()]
     for _ in range(n_sym):
         one_minus.append(one_minus[-1] * (Poly.one() - EPS))
@@ -645,12 +629,11 @@ def monte_carlo(
         del draws, erased
         rows = _rows(lanes, spec.inner_len)
         del lanes
-        flags = _flow(spec, rows, 8 * -(-batch // 8))
+        flags, ops_each = _flow(spec, rows, 8 * -(-batch // 8))
         bit_fail = [n + f.bit_count() for n, f in zip(bit_fail, flags)]
         if info:
             block_fail += functools.reduce(operator.or_, [flags[i] for i in info]).bit_count()
         done += batch
-    ops_each = decode_operation_count(spec)
     return SimReport(
         spec=spec,
         eps=eps,

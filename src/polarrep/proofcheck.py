@@ -93,21 +93,11 @@ def certify_difference(
     sample = Fraction(sample)
     if not 0 < sample < 1:
         raise ValueError(f"interior sample must lie in (0, 1), got {sample}")
-    if difference.is_zero():
-        return GainCertificate(
-            r=r,
-            difference_poly=difference,
-            endpoint_values=(Fraction(0), Fraction(0)),
-            interior_sample=(sample, Fraction(0)),
-            roots_in_open_unit=0,
-            verdict="refuted",
-            method="none",
-            budan_variations=None,
-            sturm_chain=(),
-        )
     endpoints = (difference.evaluate(0), difference.evaluate(1))
-    variations = budan_variations(difference)
-    if variations == 0:
+    variations = None if difference.is_zero() else budan_variations(difference)
+    if variations is None:
+        method, roots, chain = "none", 0, ()
+    elif variations == 0:
         method, roots, chain = "budan", 0, ()
     else:
         sturm = SturmSequence(difference)

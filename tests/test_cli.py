@@ -203,6 +203,57 @@ def test_config_file_defaults(tmp_path, capsys):
     assert doc["assignment"] == [1, 1]
 
 
+def test_config_value_read_by_its_own_command(tmp_path, capsys):
+    # --r is a list for curves and one int for simulate: each command reads
+    # the config value as its own flag would, and a command without the
+    # flag ignores it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"r": "2,4"}))
+    assert run(capsys, "--config", str(config), "curves", "--reproducible") == run(
+        capsys, "curves", "--r", "2,4", "--reproducible"
+    )
+    argv = ["analyze", "--family", "reg2", "--assign", "0,1", "--reproducible"]
+    assert run(capsys, "--config", str(config), *argv) == run(capsys, *argv)
+
+
+def test_config_value_invalid_for_command_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": "abc"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), "simulate", "--r", "2", "--m", "2", "--assign", "0,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials: invalid int value: 'abc'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--grid", "1/3"],
+        ["kernels", "--refs", "reg4:0", "--grid", "1/3"],
+    ],
+    ids=["simulate", "kernels"],
+)
+def test_grid_refused_where_unread(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --grid 1/3" in captured.err
+
+
+def test_config_grid_ignored_by_simulate(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": "1/3"}))
+    argv = ["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "50",
+            "--reproducible"]
+    code, out = run(capsys, "--config", str(config), *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *argv)
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [

@@ -10,6 +10,7 @@ import pytest
 from polarrep import codec
 from polarrep.channel_algebra import standard_synthetic_channel
 from polarrep.codec import (
+    CodeSpec,
     DecodeFailure,
     compare_oracle_with_analysis,
     decode_operation_count,
@@ -428,6 +429,38 @@ def test_monte_carlo_reports_operations():
     report = monte_carlo(spec, F(1, 2), 100, seed=0)
     assert report.operations == 100 * report.operations_per_decode
     assert report.operations_per_decode == decode_operation_count(spec)
+
+
+@pytest.mark.parametrize(
+    "name, m, count, total, low, high",
+    [
+        ("reg2", 4, 3, 280, 64, 120),
+        ("reg4", 3, 35, 3_730, 32, 184),
+        ("irr4", 3, 330, 35_404, 32, 184),
+        ("reg8", 4, 6_435, 4_311_714, 128, 1_320),
+    ],
+)
+def test_operation_counts_pinned_over_families(name, m, count, total, low, high):
+    # Every assignment of the family.  The count does not read the frozen
+    # set, so the all-unfrozen spec of ``oracle_spec`` is built without its
+    # design.
+    fam = family_by_name(name)
+    t = fam.size.bit_length() - 1
+    counts = [
+        decode_operation_count(CodeSpec(m, t, fam, a, F(1, 2), 1 << m, ()))
+        for a in enumerate_assignments(fam, fam.size)
+    ]
+    assert (len(counts), sum(counts), min(counts), max(counts)) == (count, total, low, high)
+
+
+def test_multi_batch_monte_carlo_reports_one_decode(monkeypatch):
+    # Five flow batches of up to 128 trials: the count is per decode, not
+    # per batch or per lane.
+    spec = design_code(3, 1, A01, F(1, 2), 4, REG2)
+    monkeypatch.setattr(codec, "MC_CHUNK_DRAWS", 2 * spec.total_len)
+    report = monte_carlo(spec, F(1, 2), 600, seed=5)
+    assert report.operations_per_decode == decode_operation_count(spec)
+    assert report.operations == 600 * decode_operation_count(spec)
 
 
 def test_oracle_exact_for_single_kernel_repetition():
