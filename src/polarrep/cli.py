@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Five subcommands: ``analyze`` (effective channels of one assignment),
+Six subcommands: ``analyze`` (effective channels of one assignment),
 ``search`` (exhaustive assignment search), ``prove`` (capacity-gain
-certificates), ``curves`` (capacity curve table), ``simulate`` (Monte Carlo
-runs and the exact oracle comparison).  Every command writes one JSON or CSV
-document to stdout or ``--out``.  ``prove`` exits 0 exactly when every
+certificates), ``kernels`` (kernels by family:index reference), ``curves``
+(capacity curve table), ``simulate`` (Monte Carlo runs and the exact oracle
+comparison).  Every command returns one JSON or CSV document, which ``main``
+writes to stdout or ``--out``.  ``prove`` exits 0 exactly when every
 requested certificate holds; the others exit 0 once the document is written,
 whatever it reports (an uncertified ``search`` winner, or a ``simulate
 --oracle`` run with ``"equal": false``).  Bad input values and unreadable
@@ -13,9 +14,11 @@ left to argparse, which prints its usage and exits 2.  Flags are never
 abbreviated: a prefix such as ``--r`` for ``--reproducible`` is malformed.
 
 Rationals on the command line are parsed exactly: ``1/2`` and ``0.5`` are
-the same value.  A JSON config file can hold defaults for any flag; a string
-value is read as if typed as that flag, by the commands that have the flag,
-and explicit flags win.
+the same value.  A JSON config file can hold defaults for any flag.  Each
+value is parsed as if typed as ``--flag=value`` by the command that runs,
+before its typed flags, so those win: a JSON array is its items joined by
+commas, ``true`` sets a switch, ``false`` and ``null`` leave the flag unset,
+and a value for a flag the command lacks is ignored.
 """
 
 from __future__ import annotations
@@ -53,12 +56,15 @@ def _fraction(text: str) -> Fraction:
         raise _ZeroDenominator(f"{text!r} has a zero denominator") from None
 
 
-def _fraction_list(text: str) -> list[Fraction]:
-    return [_fraction(part) for part in text.split(",") if part]
+def _comma_list(convert):
+    """Type converter of a comma-list flag: split on commas, drop empty parts
+    and convert each.  A config file's JSON array arrives joined by commas."""
 
+    def parse(text: str) -> list:
+        return [convert(part) for part in text.split(",") if part]
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    parse.__name__ = f"_{convert.__name__.lstrip('_')}_list"  # named in usage errors
+    return parse
 
 
 def _decimal(value: Fraction | float) -> str:
@@ -74,17 +80,14 @@ def _exact(n: int, d: int) -> str:
 
 
 def _emit(payload, args) -> None:
-    tabular = isinstance(payload, list)
-    if getattr(args, "format", "json") == "csv" and tabular:
+    """Write a command's document: a list of rows as CSV, a dict as JSON."""
+    if isinstance(payload, list):
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in payload:
-            writer.writerow(row)
+        csv.writer(buf).writerows(payload)
         text = buf.getvalue()
     else:
-        if isinstance(payload, dict) and not args.reproducible:
-            payload = dict(payload)
-            payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        if not args.reproducible:
+            payload = {**payload, "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -131,7 +134,7 @@ def _require(args, *names) -> None:
             raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[dict | list, int]:
     _require(args, "family", "assign")
     family = family_by_name(args.family)
     assignment = PatternAssignment(args.assign)
@@ -141,31 +144,26 @@ def cmd_analyze(args) -> int:
     table = _eval_table(polys, _grid(args))
     if args.format == "csv":
         header = list(table[0])
-        _emit([header] + [[row[c] for c in header] for row in table], args)
-        return 0
-    payload = {
+        return [header] + [[row[c] for c in header] for row in table], 0
+    return {
         "command": "analyze",
         "family": family.kind,
         "assignment": list(assignment.indices),
         "channels": channels.to_json_dict(),
         "evaluation": table,
-    }
-    _emit(payload, args)
-    return 0
+    }, 0
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[dict | list, int]:
     _require(args, "family")
     family = family_by_name(args.family)
     report = best_assignment(family, grid=_grid(args), certify=not args.no_certify)
     if args.format == "csv":
-        _emit(report.to_csv_rows(), args)
-    else:
-        _emit({"command": "search", **report.to_json_dict()}, args)
-    return 0
+        return report.to_csv_rows(), 0
+    return {"command": "search", **report.to_json_dict()}, 0
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args) -> tuple[dict | list, int]:
     if args.t == []:
         raise ValueError("--t lists no level counts")
     grid = _grid(args)
@@ -200,18 +198,15 @@ def cmd_prove(args) -> int:
                         entry["verdict"],
                     ]
                 )
-        _emit(rows, args)
-        return 0 if all_certified else 1
-    payload = {
+        return rows, 0 if all_certified else 1
+    return {
         "command": "prove",
         "all_certified": all_certified,
         "certificates": certificates,
-    }
-    _emit(payload, args)
-    return 0 if all_certified else 1
+    }, 0 if all_certified else 1
 
 
-def cmd_kernels(args) -> int:
+def cmd_kernels(args) -> tuple[dict | list, int]:
     _require(args, "refs")
     if not args.refs:
         raise ValueError("--refs lists no kernels")
@@ -230,20 +225,20 @@ def cmd_kernels(args) -> int:
         rows = [["ref", "size", "rows"]]
         for e in entries:
             rows.append([e["ref"], e["size"], ";".join("".join(map(str, r)) for r in e["rows"])])
-        _emit(rows, args)
-        return 0
-    _emit({"command": "kernels", "kernels": entries}, args)
-    return 0
+        return rows, 0
+    return {"command": "kernels", "kernels": entries}, 0
 
 
-def cmd_curves(args) -> int:
+def cmd_curves(args) -> tuple[dict | list, int]:
     grid = _grid(args)
     r_values = [2, 4, 8] if args.r is None else args.r
     if not r_values:
         raise ValueError("--r lists no repetition counts")
-    schemes = {}
+    # The scheme's degree is 3**t + r - 1: r=128 takes seconds, r=256 minutes.
     for r in r_values:
-        schemes[r] = coded_repetition_scheme(_levels(r)).capacity_poly
+        if _levels(r) > MAX_GAIN_T:
+            raise ValueError(f"repetition count {r} exceeds the bound {1 << MAX_GAIN_T} = 2**MAX_GAIN_T")
+    schemes = {r: coded_repetition_scheme(_levels(r)).capacity_poly for r in r_values}
     irregular = (
         reference_expression_set("irregular_best_r4").capacity_poly
         if 4 in schemes
@@ -264,10 +259,8 @@ def cmd_curves(args) -> int:
                 row.append(_decimal(irregular.evaluate(g)))
         rows.append(row)
     if args.format == "csv":
-        _emit(rows, args)
-    else:
-        _emit({"command": "curves", "columns": header, "rows": rows[1:]}, args)
-    return 0
+        return rows, 0
+    return {"command": "curves", "columns": header, "rows": rows[1:]}, 0
 
 
 def _simulate_family(args):
@@ -280,15 +273,8 @@ def _simulate_family(args):
     return regular_family(_levels(args.r))
 
 
-def cmd_simulate(args) -> int:
-    # The codec loads on first use; only its Monte Carlo draws import numpy.
-    from .codec import (
-        compare_oracle_with_analysis,
-        design_code,
-        erasure_probability,
-        monte_carlo,
-        synthetic_erasure_ratios,
-    )
+def cmd_simulate(args) -> tuple[dict | list, int]:
+    from . import codec  # loaded on first use; only its Monte Carlo draws import numpy
 
     _require(args, "m", "assign")
     # Refuse what the run would ignore, before any design work.
@@ -303,11 +289,13 @@ def cmd_simulate(args) -> int:
         raise ValueError("simulate --format csv ignores --exact: CSV prints decimals")
     family = _simulate_family(args)
     t = family.size.bit_length() - 1
+    if args.m < 0:
+        # design_code's own check, made before 1 << m below and in the oracle.
+        raise ValueError(f"need 0 <= t <= m, got t={t}, m={args.m}")
     assignment = PatternAssignment(args.assign)
     if args.oracle:
-        comparison = compare_oracle_with_analysis(family, assignment, args.m, t)
-        _emit({"command": "simulate-oracle", **comparison.to_json_dict()}, args)
-        return 0
+        comparison = codec.compare_oracle_with_analysis(family, assignment, args.m, t)
+        return {"command": "simulate-oracle", **comparison.to_json_dict()}, 0
     m = args.m
     k = args.k if args.k is not None else (1 << m) // 2
     eps = args.eps if args.eps is not None else Fraction(1, 2)
@@ -315,41 +303,38 @@ def cmd_simulate(args) -> int:
     seed = args.seed or 0
     # Check the run's own inputs before the design, which can take seconds;
     # --eps also names the design point by default, so it is checked as itself.
-    erasure_probability(eps)
+    codec.erasure_probability(eps)
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     design_eps = args.design_eps if args.design_eps is not None else eps
-    spec = design_code(m, t, assignment, design_eps, k, family)
-    report = monte_carlo(spec, eps, trials, seed=seed)
+    spec = codec.design_code(m, t, assignment, design_eps, k, family)
+    report = codec.monte_carlo(spec, eps, trials, seed=seed)
     design = spec.design_ratios
     if spec.design_eps != eps:
         per = assignment_erasures(assignment, family).per_subword
-        design = synthetic_erasure_ratios(per, m - t, eps)
+        design = codec.synthetic_erasure_ratios(per, m - t, eps)
     if args.format == "csv":
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)
         for i, rate in enumerate(report.per_bit_rates):
             n, d = design[i]
             rows.append([i, f"{rate:.12g}", _decimal(n / d), int(i in frozen)])
-        _emit(rows, args)
-        return 0
+        return rows, 0
     text = _exact if args.exact else lambda n, d: _decimal(n / d)
-    payload = {
+    return {
         "command": "simulate",
         **report.to_json_dict(),
         "design_erasures": [text(n, d) for n, d in design],
-    }
-    _emit(payload, args)
-    return 0
+    }, 0
 
 
 # -- wiring -------------------------------------------------------------------
 
 def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
     if grid:
-        sub.add_argument("--grid", type=_fraction_list, default=None,
+        sub.add_argument("--grid", type=_comma_list(_fraction), default=None,
                          help="comma-separated erasure grid (default 1/20..19/20)")
     sub.add_argument("--out", default=None, help="write output to this path")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -357,7 +342,7 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
                      help="omit the timestamp so reruns are byte-identical")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polarrep",
         description="Polar coded repetition toolkit for erasure channels.",
@@ -370,7 +355,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = command("analyze", help="effective channels of one assignment")
     p.add_argument("--family", default=None)
-    p.add_argument("--assign", type=_int_list, default=None)
+    p.add_argument("--assign", type=_comma_list(int), default=None)
     _add_common(p, grid=True)
     p.set_defaults(func=cmd_analyze)
 
@@ -383,7 +368,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = command("prove", help="capacity-gain certificates")
-    p.add_argument("--t", type=_int_list, default=None,
+    p.add_argument("--t", type=_comma_list(int), default=None,
                    help=f"comma-separated level counts, 1..{MAX_GAIN_T} (r = 2**t)")
     p.add_argument("--custom", default=None,
                    help="certify a custom difference polynomial: num/den coefficients, lowest degree first")
@@ -392,13 +377,13 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prove)
 
     p = command("kernels", help="print kernels by family:index reference")
-    p.add_argument("--refs", type=lambda s: [x for x in s.split(",") if x],
-                   default=None, help="comma list such as reg4:0,irr4:7")
+    p.add_argument("--refs", type=_comma_list(str), default=None,
+                   help="comma list such as reg4:0,irr4:7")
     _add_common(p)
     p.set_defaults(func=cmd_kernels)
 
     p = command("curves", help="capacity curve table")
-    p.add_argument("--r", type=_int_list, default=None)
+    p.add_argument("--r", type=_comma_list(int), default=None)
     _add_common(p, grid=True)
     p.set_defaults(func=cmd_curves)
 
@@ -406,7 +391,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--family", default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--assign", type=_int_list, default=None)
+    p.add_argument("--assign", type=_comma_list(int), default=None)
     p.add_argument("--eps", type=_fraction, default=None, help="default 1/2")
     p.add_argument("--design-eps", type=_fraction, default=None)
     p.add_argument("--k", type=int, default=None)
@@ -418,32 +403,46 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                    help="print JSON design erasures as exact ratios, not decimals")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
-
-    if defaults:
-        # Each command takes the config values of its own flags.  Argparse
-        # converts a string default with the flag's type, and only for the
-        # command that runs without that flag, so a value reads as if typed.
-        for sub in commands.choices.values():
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     return parser
+
+
+def _config_flags(path: str) -> list[str]:
+    """The config file's values as typed flag text, ``--flag=value``."""
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} does not hold a JSON object")
+    flags = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            items = value if isinstance(value, list) else [value]
+            flags.append(flag + "=" + ",".join(v if isinstance(v, str) else json.dumps(v)
+                                               for v in items))
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
+    parser = build_parser()
     try:
-        defaults = None
-        if known.config:
-            with open(known.config) as fh:
-                config = json.load(fh)
-            if not isinstance(config, dict):
-                raise ValueError(f"config file {known.config} does not hold a JSON object")
-            defaults = {k.replace("-", "_"): v for k, v in config.items()}
-        args = build_parser(defaults).parse_args(argv)
-        return args.func(args)
+        args = parser.parse_args(argv)
+        if args.config:
+            # Parse again with the config's flags just after the command's
+            # name, so the typed flags that follow win.  The flags the
+            # command lacks come back unparsed from a parse of their own.
+            flags = _config_flags(args.config)
+            _, foreign = parser.parse_known_args([args.command, *flags])
+            at = 0  # the command's index: only --config takes a value before it
+            while argv[at] != args.command:
+                at += 2 if argv[at] == "--config" else 1
+            argv[at + 1 : at + 1] = [f for f in flags if f not in foreign]
+            args = parser.parse_args(argv)
+        payload, status = args.func(args)
+        _emit(payload, args)
+        return status
     except (ValueError, OSError, _ZeroDenominator) as exc:
         sys.stderr.write(json.dumps({"status": "error", "reason": str(exc)}) + "\n")
         return 1

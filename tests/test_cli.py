@@ -1,5 +1,6 @@
 """Command-line interface behavior."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import polarrep
-from polarrep import codec, poly, proofcheck, search
+from polarrep import codec, effective_channels, poly, proofcheck, search
 from polarrep.cli import _decimal, _exact, main
 from polarrep.codec import synthetic_erasure_values
 from polarrep.effective_channels import assignment_erasures
@@ -293,6 +294,10 @@ def test_config_grid_ignored_by_simulate(tmp_path, capsys):
                      id="kernels-empty-refs"),
         pytest.param(["prove", "--custom", "1/2,-1", "--t", ","], "--t lists no level counts",
                      id="prove-empty-t"),
+        pytest.param(["simulate", "--r", "2", "--m", "-1", "--assign", "0,1"],
+                     "need 0 <= t <= m, got t=1, m=-1", id="simulate-negative-m"),
+        pytest.param(["simulate", "--oracle", "--r", "2", "--m", "-1", "--assign", "0,1"],
+                     "need 0 <= t <= m, got t=1, m=-1", id="oracle-negative-m"),
     ],
 )
 def test_bad_family_fails_cleanly(capsys, argv, reason):
@@ -320,6 +325,60 @@ def test_abbreviated_flags_refused(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "config, error",
+    [
+        ({"trials": 1.5}, "argument --trials: invalid int value: '1.5'"),
+        ({"trials": True}, "argument --trials: expected one argument"),
+        ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
+        ({"reproducible": "false"}, "argument --reproducible: ignored explicit argument 'false'"),
+    ],
+    ids=["trials-float", "trials-true", "format-xml", "reproducible-string"],
+)
+def test_config_value_parsed_as_typed_flag(tmp_path, capsys, config, error):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "simulate", "--r", "2", "--m", "3", "--assign", "0,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: polarrep simulate")
+    assert error in captured.err
+
+
+@pytest.mark.parametrize(
+    "config, argv, flags",
+    [
+        ({"assign": [0, 1]}, ["analyze", "--family", "reg2"], ["--assign", "0,1"]),
+        ({"t": [1, 2]}, ["prove"], ["--t", "1,2"]),
+        ({"grid": [0.5]}, ["analyze", "--family", "reg2", "--assign", "0,1"], ["--grid", "0.5"]),
+        ({"grid": [0.5, "1/4"]}, ["curves"], ["--grid", "0.5,1/4"]),
+        ({"exact": True}, ["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "50"],
+         ["--exact"]),
+    ],
+    ids=["assign", "t", "analyze-grid", "curves-grid", "switch"],
+)
+def test_config_value_reads_as_typed_flag(tmp_path, capsys, config, argv, flags):
+    # A JSON array is its items joined by commas, and true sets a switch.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    typed = run(capsys, *argv, *flags, "--reproducible")
+    assert typed[0] == 0
+    assert run(capsys, "--config", str(path), *argv, "--reproducible") == typed
+
+
+def test_config_null_and_false_leave_flags_unset(tmp_path, capsys):
+    # simulate --oracle refuses every Monte Carlo flag that is set.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": None, "seed": None, "design-eps": None,
+                                  "exact": False, "reproducible": False, "grid": None}))
+    argv = ["simulate", "--oracle", "--r", "2", "--m", "2", "--assign", "0,1", "--reproducible"]
+    code, out = run(capsys, "--config", str(config), *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *argv)
 
 
 def test_config_not_an_object(tmp_path, capsys):
@@ -418,6 +477,66 @@ def test_simulate_run_size_checked_before_design(monkeypatch, capsys, flags, rea
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert json.loads(captured.err)["reason"] == reason
+
+
+@pytest.mark.parametrize("r", ["256", "2,256"])
+def test_curves_r_checked_before_building(monkeypatch, capsys, r):
+    def built(*args):
+        raise AssertionError("scheme built before the repetition bound check")
+
+    monkeypatch.setattr(effective_channels, "regular_block_erasures", built)
+    code = main(["curves", "--r", r])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["reason"] == (
+        "repetition count 256 exceeds the bound 128 = 2**MAX_GAIN_T"
+    )
+
+
+def test_curves_r_bound_admits_128(monkeypatch, capsys):
+    def built(*args):
+        raise ValueError("scheme built")
+
+    monkeypatch.setattr(effective_channels, "regular_block_erasures", built)
+    assert main(["curves", "--r", "128"]) == 1
+    assert json.loads(capsys.readouterr().err)["reason"] == "scheme built"
+
+
+# sha256 of each CSV document and the exit code, recorded before main became
+# the one writer of every document.
+ANALYZE_CSV = "53f3308e04d4f4aae99645ab8810a9f02590492ea6ead6bee45340aec298d95d"
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["analyze", "--family", "irr4", "--assign", "2,5,7,7"], 0, ANALYZE_CSV),
+        (["prove", "--t", "1,2"], 0,
+         "521a12f1e70ea050ee8a148305b4ef4033d30860d3486dcd0a5e4ea1e6f90083"),
+        (["prove", "--t", "1", "--custom", "0"], 1,
+         "570685aef79dc3edbffdcaaf96ecd902a7b3fc37ffae80e1aa16fa763f585289"),
+        (["kernels", "--refs", "reg4:0,irr4:7"], 0,
+         "838e30634509f465f342a3f2adec7f55b1fae2caf5557dc8bf08f475e268841b"),
+        (["curves", "--r", "2,4", "--grid", "1/4,1/2"], 0,
+         "743c504d54512fb32e1658f39fdf9965ab9d54f3635371d7d5278fa197a08301"),
+        (["simulate", "--r", "2", "--m", "4", "--assign", "0,1", "--trials", "200",
+          "--seed", "5"], 0, "dacd575d041a0e80dd3e803172853645e118aff7302a1d371fa599d9e02e75c2"),
+    ],
+    ids=["analyze", "prove", "prove-refuted", "kernels", "curves", "simulate"],
+)
+def test_csv_document(capsys, argv, code, digest):
+    got, out = run(capsys, *argv, "--format", "csv")
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_csv_out_file(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    code, out = run(capsys, "analyze", "--family", "irr4", "--assign", "2,5,7,7",
+                    "--format", "csv", "--out", str(path))
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ANALYZE_CSV
 
 
 def test_missing_required_flag(capsys):
