@@ -8,8 +8,8 @@ and Monte Carlo simulator.
 
 The encoder/decoder names come from :mod:`polarrep.codec` and are resolved
 on first use, so the exact analysis never imports the codec.  numpy is
-needed only by the Monte Carlo draws and ``erasure_flow``, which import it
-when called: the codec, its design and its exact oracle run without it.
+needed only by ``erasure_flow``, which imports it when called: the codec,
+its design, its exact oracle and its Monte Carlo run without it.
 """
 
 from .channel_algebra import (

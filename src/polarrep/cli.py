@@ -166,6 +166,8 @@ def cmd_search(args) -> tuple[dict | list, int]:
 def cmd_prove(args) -> tuple[dict | list, int]:
     if args.t == []:
         raise ValueError("--t lists no level counts")
+    if args.custom == []:
+        raise ValueError("--custom lists no coefficients")
     grid = _grid(args)
     if args.custom is None and not args.t:
         raise ValueError("nothing to prove: pass --t and/or --custom")
@@ -174,7 +176,7 @@ def cmd_prove(args) -> tuple[dict | list, int]:
     certificates = []
     all_certified = True
     if args.custom is not None:
-        cert = certify_difference(Poly([_fraction(c) for c in args.custom.split(",")]))
+        cert = certify_difference(Poly(args.custom))
         certificates.append({"kind": "custom", **cert.to_json_dict()})
         all_certified &= cert.certified
     for t in args.t or []:
@@ -274,7 +276,7 @@ def _simulate_family(args):
 
 
 def cmd_simulate(args) -> tuple[dict | list, int]:
-    from . import codec  # loaded on first use; only its Monte Carlo draws import numpy
+    from . import codec  # loaded on first use, so no other command imports it
 
     _require(args, "m", "assign")
     # Refuse what the run would ignore, before any design work.
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("prove", help="capacity-gain certificates")
     p.add_argument("--t", type=_comma_list(int), default=None,
                    help=f"comma-separated level counts, 1..{MAX_GAIN_T} (r = 2**t)")
-    p.add_argument("--custom", default=None,
+    p.add_argument("--custom", type=_comma_list(_fraction), default=None,
                    help="certify a custom difference polynomial: num/den coefficients, lowest degree first")
     p.add_argument("--sample", type=_fraction, default=Fraction(1, 2))
     _add_common(p, grid=True)

@@ -25,10 +25,10 @@ pattern per bit of each lane, and one walk decides all patterns at once.
 The exact oracle builds the lanes of all 2**N patterns of a short code
 directly and counts each bit's failures per pattern weight to get exact
 per-bit erasure polynomials; it is the ground truth the design analysis in
-:mod:`polarrep.effective_channels` is compared against.  numpy is imported
-only where patterns come as arrays: the Monte Carlo draws, packed straight
-into lanes (failures counted by popcount), and ``erasure_flow``'s boolean
-batches.
+:mod:`polarrep.effective_channels` is compared against.  The Monte Carlo
+draws its row ints directly as exact Bernoulli(eps) bits from
+``random.Random(seed).getrandbits`` and counts failures by popcount; numpy
+is imported only by ``erasure_flow``, whose patterns come as boolean arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -56,11 +57,14 @@ ORACLE_MAX_BITS = 16
 #: inner level, and m=15 already takes about 17 s and 600 MB.
 MAX_DESIGN_M = 15
 
-#: Symbols drawn per Monte Carlo chunk (8 MB of float64), in whole groups of
-#: 64 trials and at least one group; the flow runs on batches of up to 64
-#: times this many pattern-symbols (8 MB of lanes), so memory stays bounded
-#: whatever the trial count.
+#: A Monte Carlo flow batch holds up to 64 times this many pattern-symbols
+#: (8 MB of lanes), in whole groups of 64 trials and at least one group, so
+#: memory stays bounded whatever the trial count.
 MC_CHUNK_DRAWS = 1 << 20
+
+#: Full-width comparator rounds of the Bernoulli sampler before the lanes
+#: still open, about one in 2**_ROUNDS, are drawn packed.
+_ROUNDS = 10
 
 
 class DecodeFailure(Exception):
@@ -580,6 +584,61 @@ def erasure_probability(eps: Fraction | float | str) -> Fraction:
     return eps
 
 
+#: ``bytes.translate`` table marking the nonzero bytes with 1.
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def _deposit(mask: int, bits: int) -> int:
+    """The int holding bit j of ``bits`` at the j-th lowest set bit of
+    ``mask``; ``mask`` is sparse, so its nonzero bytes are found by
+    ``bytes.find`` and only their bits are visited."""
+    data = mask.to_bytes(-(-mask.bit_length() // 8), "little")
+    nonzero = data.translate(_NONZERO)
+    out = bytearray(len(data))
+    i = nonzero.find(1)
+    while i >= 0:
+        byte = data[i]
+        while byte:
+            low = byte & -byte
+            if bits & 1:
+                out[i] |= low
+            bits >>= 1
+            byte ^= low
+        i = nonzero.find(1, i + 1)
+    return int.from_bytes(out, "little")
+
+
+def _bernoulli_bits(getrandbits, nbits: int, p: int, q: int) -> int:
+    """An int of ``nbits`` independent Bernoulli(p/q) bits, 0 <= p <= q.
+
+    Bit i is set when a uniform U_i in [0, 1) falls below p/q.  U_i is read
+    one random bit at a time against the binary expansion of p/q, and the
+    first place where they differ decides the lane (Knuth and Yao 1976).  A
+    round draws one bit for every lane with one ``getrandbits(nbits)``: the
+    open lanes whose bit differs are decided, set where the expansion has a
+    1.  The next expansion bit comes from doubling p mod q, so a dyadic
+    a/2**k ends after at most k rounds (one for 1/2), and 0 and 1 take none.
+    After ``_ROUNDS`` rounds the lanes still open are drawn as one packed
+    int, by this function on the rest of the expansion, and deposited into
+    the open positions, lowest first.
+    """
+    if p == q:
+        return (1 << nbits) - 1
+    hits, open_ = 0, (1 << nbits) - 1
+    rounds = 0
+    while open_ and p:
+        if rounds == _ROUNDS:
+            return hits | _deposit(open_, _bernoulli_bits(getrandbits, open_.bit_count(), p, q))
+        rounds += 1
+        differ = getrandbits(nbits) & open_
+        open_ ^= differ
+        p += p
+        if p >= q:
+            p -= q
+            hits |= differ
+    return hits
+
+
 def monte_carlo(
     spec: CodeSpec,
     eps: Fraction | float | str,
@@ -589,47 +648,33 @@ def monte_carlo(
     """Simulate i.i.d. erasures and measure genie-aided per-bit rates.
 
     Rates are reported for every u-bit; the block error rate counts trials
-    where any unfrozen bit was undecodable.  Results are independent of the
-    transmitted values and deterministic given the seed: each chunk of
-    ``MC_CHUNK_DRAWS`` symbols, in whole words of 64 trials, is drawn into
-    one reused float64 buffer with ``rng.random(out=...)``, which yields the
-    same doubles in the same trial order as one ``rng.random((trials,
-    total_len))``, so the chunking changes no result.  Chunks are packed
-    into the symbol lanes of a batch of up to 64 * ``MC_CHUNK_DRAWS``
-    pattern-symbols, the flow runs once per batch on Python ints, and
-    failures are counted with ``int.bit_count``.  Only this stream needs
-    numpy, so it is imported here.
+    where any unfrozen bit was undecodable.  Trials run in flow batches of up
+    to 64 * ``MC_CHUNK_DRAWS`` pattern-symbols.  Each of a batch's r*r row
+    ints is drawn in order as inner_len * batch exact Bernoulli(eps) bits
+    (``_bernoulli_bits`` on ``random.Random(seed).getrandbits``; lanes are
+    exactly the batch, so nothing is padded), the flow runs once per batch,
+    and failures are counted with ``int.bit_count``.  Results do not depend
+    on the transmitted values; they are fixed by the seed, eps, the trial
+    count, the code's shape and the batch size, and a different batch size
+    draws a different stream.  The seed must be non-negative, because
+    ``random.Random`` seeds with its absolute value.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     eps = erasure_probability(eps)
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    getrandbits = random.Random(seed).getrandbits
     info = list(spec.info_positions)
     bit_fail = [0] * spec.n
     block_fail = 0
-    p = float(eps)
-    n_sym = spec.total_len
-    chunk = 64 * max(1, MC_CHUNK_DRAWS // n_sym // 64)
-    per_batch = 64 * max(1, MC_CHUNK_DRAWS // n_sym)
+    per_batch = 64 * max(1, MC_CHUNK_DRAWS // spec.total_len)
     done = 0
     while done < trials:
         batch = min(per_batch, trials - done)
-        draws = np.empty((min(chunk, batch), n_sym))
-        erased = np.empty(draws.shape, dtype=bool)
-        lanes = np.empty((n_sym, -(-batch // 8)), dtype=np.uint8)
-        for start in range(0, batch, chunk):
-            size = min(chunk, batch - start)
-            rng.random(out=draws[:size])
-            np.less(draws[:size], p, out=erased[:size])
-            lanes[:, start // 8 : -(-(start + size) // 8)] = _pack(erased[:size])
-        # Each buffer goes as soon as the next stage has read it, which
-        # keeps the peak below holding the draws, lanes and rows at once.
-        del draws, erased
-        rows = _rows(lanes, spec.inner_len)
-        del lanes
-        flags, ops_each = _flow(spec, rows, 8 * -(-batch // 8))
+        rows = [_bernoulli_bits(getrandbits, spec.inner_len * batch, eps.numerator, eps.denominator)
+                for _ in range(spec.r * spec.r)]
+        flags, ops_each = _flow(spec, rows, batch)
         bit_fail = [n + f.bit_count() for n, f in zip(bit_fail, flags)]
         if info:
             block_fail += functools.reduce(operator.or_, [flags[i] for i in info]).bit_count()

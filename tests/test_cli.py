@@ -101,6 +101,12 @@ def test_prove_custom_zero_refuted(capsys):
     assert doc["certificates"][0]["verdict"] == "refuted"
 
 
+def test_prove_custom_drops_empty_parts(capsys):
+    # Like every other comma-list flag: 1,,2 reads as 1,2.
+    assert run_json(capsys, "prove", "--custom", "1,,2") == run_json(
+        capsys, "prove", "--custom", "1,2")
+
+
 def test_curves_values(capsys):
     code, doc = run_json(capsys, "curves", "--grid", "1/2")
     assert code == 0
@@ -294,6 +300,8 @@ def test_config_grid_ignored_by_simulate(tmp_path, capsys):
                      id="kernels-empty-refs"),
         pytest.param(["prove", "--custom", "1/2,-1", "--t", ","], "--t lists no level counts",
                      id="prove-empty-t"),
+        pytest.param(["prove", "--custom", ","], "--custom lists no coefficients",
+                     id="prove-empty-custom"),
         pytest.param(["simulate", "--r", "2", "--m", "-1", "--assign", "0,1"],
                      "need 0 <= t <= m, got t=1, m=-1", id="simulate-negative-m"),
         pytest.param(["simulate", "--oracle", "--r", "2", "--m", "-1", "--assign", "0,1"],
@@ -505,7 +513,8 @@ def test_curves_r_bound_admits_128(monkeypatch, capsys):
 
 
 # sha256 of each CSV document and the exit code, recorded before main became
-# the one writer of every document.
+# the one writer of every document; ``simulate`` re-recorded for the exact
+# Bernoulli stream, which changed only its empirical_rate column.
 ANALYZE_CSV = "53f3308e04d4f4aae99645ab8810a9f02590492ea6ead6bee45340aec298d95d"
 
 
@@ -522,7 +531,7 @@ ANALYZE_CSV = "53f3308e04d4f4aae99645ab8810a9f02590492ea6ead6bee45340aec298d95d"
         (["curves", "--r", "2,4", "--grid", "1/4,1/2"], 0,
          "743c504d54512fb32e1658f39fdf9965ab9d54f3635371d7d5278fa197a08301"),
         (["simulate", "--r", "2", "--m", "4", "--assign", "0,1", "--trials", "200",
-          "--seed", "5"], 0, "dacd575d041a0e80dd3e803172853645e118aff7302a1d371fa599d9e02e75c2"),
+          "--seed", "5"], 0, "e59919b4d6f35d0433cd4a6f2fd9d4ec3a66a388bf28ff48dab4e1235b9e8476"),
     ],
     ids=["analyze", "prove", "prove-refuted", "kernels", "curves", "simulate"],
 )
@@ -573,23 +582,47 @@ for argv in (
 from polarrep import CodeSpec, design_code
 print(isinstance(design_code(3, 1, polarrep.PatternAssignment([0, 1]), Fraction(1, 2), 4,
                              polarrep.family_by_name("reg2")), CodeSpec))
-assert "numpy" not in sys.modules, "numpy loaded"
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "64",
                  "--reproducible"])
 assert code == 0 and '"command": "simulate"' in out.getvalue()
+assert "numpy" not in sys.modules, "numpy loaded"
+from polarrep import codec
+spec = design_code(3, 1, polarrep.PatternAssignment([0, 1]), Fraction(1, 2), 4,
+                   polarrep.family_by_name("reg2"))
+assert codec.erasure_flow(spec, [[False] * spec.total_len]).shape == (1, spec.n)
 assert "numpy" in sys.modules
 """
 
 
-def test_non_codec_commands_leave_numpy_unloaded():
-    """Only the Monte Carlo draws need numpy: every other command, the
-    oracle and ``design_code`` run without it, and the package's codec
-    exports still resolve on first use."""
+def _child_env(**extra) -> dict:
+    """Environment of a child interpreter that imports this polarrep."""
     src = str(Path(polarrep.__file__).parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **extra}
+
+
+def test_non_codec_commands_leave_numpy_unloaded():
+    """Only ``erasure_flow``'s boolean arrays need numpy: every command,
+    the Monte Carlo and the oracle included, and ``design_code`` run
+    without it, and the package's codec exports still resolve on first
+    use."""
     done = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_child_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "True\n"
+
+
+def test_simulate_stdout_independent_of_hash_seed():
+    """Two interpreters with different string hash seeds print the same
+    ``simulate --reproducible`` document, byte for byte."""
+    argv = [sys.executable, "-m", "polarrep.cli", "simulate", "--family", "irr4", "--m", "4",
+            "--assign", "2,5,7,7", "--eps", "3/5", "--trials", "300", "--seed", "3",
+            "--reproducible"]
+    outs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(argv, capture_output=True, env=_child_env(PYTHONHASHSEED=hash_seed),
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]

@@ -351,37 +351,43 @@ class TestMonteCarlo:
         assert silent.block_error_rate == 0
         deaf = monte_carlo(spec, 1, 50, seed=1)
         assert set(deaf.per_bit_rates) == {1.0}
-        # 65 trials fill one 64-trial word and one bit of the next: the
-        # padding trials must never count as failures.
+        # 65 lanes per symbol, not a whole number of bytes or words: every
+        # trial must count.
         deaf = monte_carlo(spec, 1, 65)
         assert set(deaf.per_bit_rates) == {1.0}
         assert deaf.block_error_rate == 1.0
 
     def test_random_stream_pin(self):
-        # Counts pinned before the bit-sliced flow, so a changed stream or
-        # comparison shows up here and not only across versions.
+        # Counts pinned for the exact Bernoulli rows drawn from
+        # random.Random(seed).getrandbits, so a changed stream or sampler
+        # shows up here and not only across versions.
         irr4 = family_by_name("irr4")
         spec = design_code(6, 2, PatternAssignment([2, 5, 7, 7]), F(3, 5), 32, irr4)
         trials = 1001
         report = monte_carlo(spec, F(3, 5), trials, seed=11)
         counts = [round(rate * trials) for rate in report.per_bit_rates]
         assert report.per_bit_rates == tuple(c / trials for c in counts)
-        assert sum(counts) == 6852
-        assert counts[:8] == [982, 687, 599, 131, 422, 46, 34, 0]
-        assert report.block_error_rate == 13 / trials
+        assert sum(counts) == 6886
+        assert counts[:8] == [977, 686, 595, 128, 439, 61, 36, 0]
+        assert report.block_error_rate == 5 / trials
+
+    def test_negative_seed_refused(self):
+        # random.Random(-1) would seed exactly as Random(1).
+        spec = design_code(3, 1, A01, F(1, 2), 4, REG2)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            monte_carlo(spec, F(1, 2), 10, seed=-1)
 
     def test_deterministic_given_seed(self, monkeypatch):
         spec = design_code(4, 1, A01, F(1, 2), 8, REG2)
         a = monte_carlo(spec, F(1, 2), 4000, seed=42)
+        assert monte_carlo(spec, F(1, 2), 4000, seed=42) == a
+        assert monte_carlo(spec, F(1, 2), 4000, seed=43) != a
+        # Flow batches of 1280, 1280, 1280 and 160 trials: the same seed
+        # gives the same report.  Each batch draws its own rows, so this is
+        # not the one-batch stream above.
+        monkeypatch.setattr(codec, "MC_CHUNK_DRAWS", 20 * spec.total_len)
         b = monte_carlo(spec, F(1, 2), 4000, seed=42)
-        assert a.per_bit_rates == b.per_bit_rates
-        assert a.block_error_rate == b.block_error_rate
-        # The same stream in chunks of 1472, 1472 and 1056 trials under one
-        # flow batch, and in 64-trial chunks under flow batches of 1280,
-        # 1280, 1280 and 160 trials.
-        for draws in (1500, 20):
-            monkeypatch.setattr(codec, "MC_CHUNK_DRAWS", draws * spec.total_len)
-            assert monte_carlo(spec, F(1, 2), 4000, seed=42) == a
+        assert monte_carlo(spec, F(1, 2), 4000, seed=42) == b
 
     def test_rates_match_design_three_sigma(self):
         spec = design_code(5, 1, A01, F(1, 2), 16, REG2)
@@ -406,6 +412,94 @@ class TestMonteCarlo:
         ]
         slack = 3 * math.sqrt(0.25 / 4000)
         assert all(b >= a - slack for a, b in zip(rates, rates[1:]))
+
+
+class _ScriptedBits:
+    """A ``getrandbits`` that reads its words, lowest bit first, from one
+    fixed bit string and refuses to read past its end."""
+
+    def __init__(self, stream: int, length: int):
+        self.stream, self.left = stream, length
+
+    def __call__(self, k: int) -> int:
+        assert k <= self.left, "the sampler read past the scripted stream"
+        word = self.stream & ((1 << k) - 1)
+        self.stream >>= k
+        self.left -= k
+        return word
+
+
+class TestBernoulliBits:
+    @pytest.mark.parametrize("rounds", [codec._ROUNDS, 2, 1])
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_exact_for_dyadic_eps(self, monkeypatch, rounds, lanes):
+        # eps = 3/8 = 0.011 in binary needs at most three random bits per
+        # lane, full-width or packed, so every stream of 3 * lanes fair bits
+        # is one equally likely outcome.  Fewer rounds send open lanes
+        # through the packed tail and its deposit.
+        monkeypatch.setattr(codec, "_ROUNDS", rounds)
+        eps, length = F(3, 8), 3 * lanes
+        got = {}
+        for stream in range(1 << length):
+            bits = codec._bernoulli_bits(_ScriptedBits(stream, length), lanes, 3, 8)
+            got[bits] = got.get(bits, 0) + F(1, 1 << length)
+        want = {
+            bits: eps ** bits.bit_count() * (1 - eps) ** (lanes - bits.bit_count())
+            for bits in range(1 << lanes)
+        }
+        assert got == want
+
+    @pytest.mark.parametrize("eps", [F(0), F(1), F(1, 2)])
+    def test_trivial_expansions(self, eps):
+        # 0 and 1 draw nothing; 1/2 is one full-width word.
+        words = []
+
+        def draw(k):
+            words.append(k)
+            return random.Random(k).getrandbits(k)
+
+        bits = codec._bernoulli_bits(draw, 100, eps.numerator, eps.denominator)
+        assert len(words) == (eps == F(1, 2))
+        if eps != F(1, 2):
+            assert bits == int(eps) * ((1 << 100) - 1)
+
+    @pytest.mark.parametrize("eps", [F(1, 3), F(3, 5)])
+    def test_tail_lanes_independent(self, monkeypatch, eps):
+        # Two full-width rounds leave about a quarter of the lanes to the
+        # packed tail, which recurses.  Per-lane and pairwise joint
+        # frequencies over the draws must match eps and eps**2.
+        monkeypatch.setattr(codec, "_ROUNDS", 2)
+        lanes, draws = 12, 20_000
+        getrandbits = random.Random(5).getrandbits
+        samples = [codec._bernoulli_bits(getrandbits, lanes, eps.numerator, eps.denominator)
+                   for _ in range(draws)]
+        p = float(eps)
+
+        def z(hits, q):
+            return (hits - q * draws) / math.sqrt(q * (1 - q) * draws)
+
+        for i in range(lanes):
+            assert abs(z(sum(s >> i & 1 for s in samples), p)) < 4.5, i
+            for j in range(i):
+                both = sum(s >> i & s >> j & 1 for s in samples)
+                assert abs(z(both, p * p)) < 4.5, (i, j)
+
+    def test_reaches_sparse_tail(self):
+        # At the default round count, a non-dyadic eps over 2**16 lanes
+        # leaves about 64 open lanes, drawn packed; the overall frequency
+        # still matches eps.
+        widths = []
+        rng = random.Random(9)
+
+        def draw(k):
+            widths.append(k)
+            return rng.getrandbits(k)
+
+        lanes = 1 << 16
+        bits = codec._bernoulli_bits(draw, lanes, 1, 3)
+        assert widths[: codec._ROUNDS] == [lanes] * codec._ROUNDS
+        assert 0 < widths[codec._ROUNDS] < lanes // 256
+        assert abs(bits.bit_count() - lanes / 3) < 4.5 * math.sqrt(lanes * 2 / 9)
 
 
 def test_operation_count_scaling():
