@@ -11,11 +11,15 @@ erased (else XOR), a variable combine erases only if all inputs are erased
 (conflicting known values are impossible over an erasure channel).
 
 That schedule is written once, in ``_walk``; what a combine does to a
-message comes from one of two op sets: ``_Values`` for ``sc_decode`` and
+message comes from one of two op sets, and both walk row ints: ``_Values``
+for ``sc_decode`` carries (values, known) pairs with symbol i at bit i, and
 ``_Flags`` for the erasure flow (``erasure_flow``, the oracle and the Monte
-Carlo).  ``_Flags`` also counts the symbol-level combines of one decode, so
-``decode_operation_count`` and the Monte Carlo report the operations of the
-walk the decoder actually runs.
+Carlo) carries erasure lanes.  ``_Flags`` also counts the symbol-level
+combines of one decode, so ``decode_operation_count`` and the Monte Carlo
+report the operations of the walk the decoder actually runs.  ``encode`` and
+the decoder's interference removal share one encoder,
+``patterns.apply_kernel`` down a kernel tree: the polar transform's tree for
+the inner code, each block's kernel for the blocks.
 
 Because erasure propagation does not depend on the transmitted values, the
 per-bit behavior of this decoder is a deterministic function of the erasure
@@ -39,10 +43,10 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .effective_channels import assignment_erasures
-from .patterns import Kernel, PatternAssignment, PatternFamily, apply_kernel
+from .patterns import LEAF, Kernel, PatternAssignment, PatternFamily, apply_kernel
 from .poly import EPS, Poly
 
 if TYPE_CHECKING:
@@ -238,31 +242,28 @@ def design_code(
 
 # -- encoding ---------------------------------------------------------------
 
-def inner_encode(u: Sequence[int]) -> tuple[int, ...]:
-    """Polar transform of a length-2**q word (earlier bits are XORed down)."""
-    if len(u) == 1:
-        return (u[0],)
-    h = len(u) // 2
-    left = inner_encode(u[:h])
-    right = inner_encode(u[h:])
-    return tuple(a ^ b for a, b in zip(left, right)) + right
-
-
 def encode(spec: CodeSpec, info_bits: Sequence[int]) -> list[tuple[int, ...]]:
     """Encode info bits into the r transmitted blocks.
 
     Info bits fill the unfrozen u-positions in index order, each sub-codeword
-    is inner polar coded, and block b applies the b-th kernel of the
-    canonical assignment order to the tuple of sub-codewords.
+    is inner polar coded by the kernel tree of the polar transform, and block
+    b applies the b-th kernel of the canonical assignment order to the tuple
+    of sub-codewords.
     """
     if len(info_bits) != spec.k:
         raise ValueError(f"expected {spec.k} info bits, got {len(info_bits)}")
     u = [0] * spec.n
     for pos, bit in zip(spec.info_positions, info_bits):
+        if bit not in (0, 1):
+            raise ValueError(f"info bits must be 0 or 1, got {bit!r}")
         u[pos] = int(bit)
+    inner = LEAF
+    for _ in range(spec.m - spec.t):
+        inner = Kernel(1, inner, inner)
     width = spec.inner_len
     subwords = [
-        inner_encode(u[j * width : (j + 1) * width]) for j in range(spec.r)
+        apply_kernel(inner, [(bit,) for bit in u[j * width : (j + 1) * width]])
+        for j in range(spec.r)
     ]
     return [apply_kernel(kern, subwords) for kern in spec.kernels()]
 
@@ -315,63 +316,51 @@ def _carriers(spec: CodeSpec, rows: Any) -> list[tuple[Kernel, Any]]:
 
 # -- value-level SC decoding ------------------------------------------------
 
-def _combine_check(a: int | None, b: int | None) -> int | None:
-    if a is None or b is None:
-        return None
-    return a ^ b
-
-def _combine_first(values: Iterable[int | None]) -> int | None:
-    for v in values:
-        if v is not None:
-            return v
-    return None
-
-
 def _inner_sc(
-    msgs: list[int | None], frozen: set[int], bit_offset: int
-) -> tuple[list[int], list[int]]:
-    """Standard polar SC over erasure messages; returns (u_hat, x_hat)."""
-    if len(msgs) == 1:
+    values: int, known: int, width: int, frozen: set[int], bit_offset: int
+) -> tuple[int, int]:
+    """Standard polar SC on one row's (values, known) ints; returns the
+    decoded u-bits and the re-encoded sub-codeword as ints, bit i for
+    symbol i."""
+    if width == 1:
         if bit_offset in frozen:
-            return [0], [0]
-        if msgs[0] is None:
+            return 0, 0
+        if not known:
             raise DecodeFailure(bit_offset)
-        return [msgs[0]], [msgs[0]]
-    h = len(msgs) // 2
-    left_in = [_combine_check(msgs[i], msgs[i + h]) for i in range(h)]
-    u_left, x_left = _inner_sc(left_in, frozen, bit_offset)
-    right_in = [
-        _combine_first((_combine_check(msgs[i], x_left[i]), msgs[i + h]))
-        for i in range(h)
-    ]
-    u_right, x_right = _inner_sc(right_in, frozen, bit_offset + h)
-    return u_left + u_right, [a ^ b for a, b in zip(x_left, x_right)] + x_right
+        return values, values
+    h = width // 2
+    mask = (1 << h) - 1
+    v0, v1, k0, k1 = values & mask, values >> h, known & mask, known >> h
+    u0, x0 = _inner_sc((v0 ^ v1) & k0 & k1, k0 & k1, h, frozen, bit_offset)
+    u1, x1 = _inner_sc(((v0 ^ x0) & k0) | v1, k0 | k1, h, frozen, bit_offset + h)
+    return u0 | u1 << h, (x0 ^ x1) | x1 << h
 
 
 class _Values:
-    """Messages are rows of symbols in {0, 1, None}; a leaf yields the
-    decoded u-bits and the re-encoded sub-codeword, which ``cancel`` needs."""
+    """Messages are lists of (values, known) row-int pairs, one per kernel
+    position, in the flow's layout with one lane: symbol i sits at bit i, and
+    a value bit is zero wherever its symbol is unknown.  Known values never
+    conflict over an erasure channel, so a variable combine ORs both ints.  A
+    leaf yields the decoded u-bits and the re-encoded sub-codeword, which
+    ``cancel`` needs."""
 
     def __init__(self, frozen: set[int], width: int):
         self.frozen = frozen
         self.width = width
 
     def merge(self, msgs):
-        return [[_combine_first(col) for col in zip(*rows)] for rows in zip(*msgs)]
+        return [tuple(functools.reduce(operator.or_, ints) for ints in zip(*rows))
+                for rows in zip(*msgs)]
 
     def check(self, msg, estimate):
-        return [list(map(_combine_check, x, y)) for x, y in zip(msg, estimate)]
+        return [((v ^ w) & k & j, k & j) for (v, k), (w, j) in zip(msg, estimate)]
 
     def cancel(self, msg, a: Kernel, known):
-        coded = apply_kernel(a, [x for _, x in known])
-        w = self.width
-        return [
-            [None if v is None else v ^ x for v, x in zip(row, coded[p * w : (p + 1) * w])]
-            for p, row in enumerate(msg)
-        ]
+        coded = apply_kernel(a, [(x,) for _, x in known])
+        return [((v ^ x) & k, k) for (v, k), x in zip(msg, coded)]
 
     def leaf(self, msg, j: int):
-        return _inner_sc(msg[0], self.frozen, j * self.width)
+        return _inner_sc(*msg[0], self.width, self.frozen, j * self.width)
 
 
 def sc_decode(spec: CodeSpec, received: Sequence[int | None]) -> list[int]:
@@ -383,11 +372,17 @@ def sc_decode(spec: CodeSpec, received: Sequence[int | None]) -> list[int]:
     """
     if len(received) != spec.total_len:
         raise ValueError(f"expected {spec.total_len} symbols, got {len(received)}")
+    for s in received:
+        if s not in (0, 1, None):
+            raise ValueError(f"received symbols must be 0, 1 or None, got {s!r}")
+    values = int("".join("1" if s == 1 else "0" for s in reversed(received)), 2)
+    known = int("".join("0" if s is None else "1" for s in reversed(received)), 2)
     width = spec.inner_len
-    rows = [list(received[i : i + width]) for i in range(0, spec.total_len, width)]
+    mask = (1 << width) - 1
+    rows = [(values >> q & mask, known >> q & mask) for q in range(0, spec.total_len, width)]
     leaves = _walk(_carriers(spec, rows), _Values(set(spec.frozen), width))
-    u_hat = [bit for u, _ in leaves for bit in u]
-    return [u_hat[i] for i in spec.info_positions]
+    u_hat = sum(u << j * width for j, (u, _) in enumerate(leaves))
+    return [u_hat >> i & 1 for i in spec.info_positions]
 
 
 # -- batched genie-aided erasure propagation --------------------------------

@@ -31,6 +31,7 @@ from .effective_channels import (
     assignment_erasures,
 )
 from .patterns import Kernel, PatternAssignment, PatternFamily
+from .proofcheck import certify_dominance
 
 #: Largest candidate count a search enumerates: reg8 (6,435) fits, reg16
 #: (300,540,195) would not fit in memory.
@@ -165,8 +166,6 @@ def best_assignment(
 
     certified = False
     if certify and wins[best_i] == len(grid):
-        from .proofcheck import certify_dominance
-
         certified = all(
             certify_dominance(
                 best_channels.capacity_poly, assignment_erasures(a, family).capacity_poly

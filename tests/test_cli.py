@@ -569,16 +569,19 @@ import contextlib, io, sys
 from fractions import Fraction
 import polarrep, polarrep.cli
 from polarrep.cli import main
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--reproducible"]) == 0, argv
 for argv in (
     ["search", "--family", "reg2"],
     ["prove", "--t", "1,2", "--custom", "0,-7/20,27/20,-2,1"],
     ["curves", "--r", "2,4"],
     ["analyze", "--family", "irr4", "--assign", "2,5,7,7"],
     ["kernels", "--refs", "reg4:0,irr4:7"],
-    ["simulate", "--oracle", "--family", "irr4", "--m", "2", "--assign", "2,5,7,7"],
 ):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv + ["--reproducible"]) == 0, argv
+    run(argv)
+assert "polarrep.codec" not in sys.modules, "codec loaded"
+run(["simulate", "--oracle", "--family", "irr4", "--m", "2", "--assign", "2,5,7,7"])
 from polarrep import CodeSpec, design_code
 print(isinstance(design_code(3, 1, polarrep.PatternAssignment([0, 1]), Fraction(1, 2), 4,
                              polarrep.family_by_name("reg2")), CodeSpec))
@@ -606,7 +609,8 @@ def test_non_codec_commands_leave_numpy_unloaded():
     """Only ``erasure_flow``'s boolean arrays need numpy: every command,
     the Monte Carlo and the oracle included, and ``design_code`` run
     without it, and the package's codec exports still resolve on first
-    use."""
+    use.  The commands other than ``simulate`` leave ``codec`` itself
+    unimported, which keeps start-up short."""
     done = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
     assert done.returncode == 0, done.stderr

@@ -171,6 +171,12 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(spec, [1])
 
+    def test_info_bits_must_be_binary(self):
+        # A 2 would spill into the next symbol's bit of a row int.
+        spec = design_code(1, 1, A01, F(1, 2), 2, REG2)
+        with pytest.raises(ValueError, match="info bits must be 0 or 1, got 2"):
+            encode(spec, [2, 0])
+
 
 class TestScDecode:
     def test_round_trip_no_erasures(self):
@@ -205,6 +211,11 @@ class TestScDecode:
             sc_decode(frozen_first, [None] * 4)
         assert err.value.bit_index == 1
 
+    def test_received_symbols_must_be_binary_or_erased(self):
+        spec = design_code(1, 1, A01, F(1, 2), 2, REG2)
+        with pytest.raises(ValueError, match="received symbols must be 0, 1 or None, got 2"):
+            sc_decode(spec, [2, 0, 1, 0])
+
     def test_frozen_bits_help(self):
         spec = design_code(1, 1, A01, F(1, 2), 1, REG2)
         # Only info bit is u2 = c2; block 2 = (c1, c2) = (0, 1)
@@ -220,17 +231,26 @@ class TestScDecode:
             oracle_spec(family_by_name("reg8"), PatternAssignment([0, 1, 2, 3, 4, 5, 6, 7]), 3, 3),
             # Partially frozen: the decoder stops at the first flagged info bit.
             design_code(4, 2, PatternAssignment([2, 5, 7, 7]), F(1, 2), 7, irr4),
+            # Inner width 16, half frozen: known earlier bits re-encode into
+            # symbols the later half never received.
+            design_code(5, 1, A01, F(1, 2), 16, REG2),
         ]
 
+        # Messages come from their own stream, so the patterns stay those of
+        # seed 5.
+        messages = random.Random(6)
+
         def check(spec, pattern, flags):
-            word = [None if e else 0 for e in pattern]
+            info = [messages.randint(0, 1) for _ in range(spec.k)]
+            blocks = [b for blk in encode(spec, info) for b in blk]
+            word = [None if e else b for e, b in zip(pattern, blocks)]
             failing = [i for i in spec.info_positions if flags[i]]
             if failing:
                 with pytest.raises(DecodeFailure) as err:
                     sc_decode(spec, word)
                 assert err.value.bit_index == failing[0]
             else:
-                assert sc_decode(spec, word) == [0] * spec.k
+                assert sc_decode(spec, word) == info
 
         for spec in specs:
             for _ in range(60):
@@ -288,6 +308,14 @@ class TestOracle:
             for i in cmp.mismatched_bits:
                 diff = cmp.oracle_polys[i] - cmp.analysis_polys[i]
                 assert all(c == 0 for c in diff.coeffs[:4])
+        # The README's table: summed sub-codeword erasures, design minus
+        # operational, at eps = 1/2 and in delta = 1 - eps near eps = 1.
+        for cmp, at_half, near_one in ((cmp_irr, F(-5, 512), (0, 0, 1)),
+                                       (cmp_reg, F(-77, 4096), (0, 0, 0, -4))):
+            gap = sum(cmp.analysis_polys, Poly.zero()) - sum(cmp.oracle_polys, Poly.zero())
+            assert gap.coeffs[:4] == (0,) * 4 and gap.coeffs[4] != 0
+            assert gap.evaluate(F(1, 2)) == at_half
+            assert gap.compose(Poly.one() - EPS).coeffs[: len(near_one)] == near_one
 
     def test_requires_all_unfrozen_and_small(self):
         spec = design_code(1, 1, A01, F(1, 2), 1, REG2)
