@@ -313,22 +313,23 @@ def cmd_simulate(args) -> tuple[dict | list, int]:
     design_eps = args.design_eps if args.design_eps is not None else eps
     spec = codec.design_code(m, t, assignment, design_eps, k, family)
     report = codec.monte_carlo(spec, eps, trials, seed=seed)
-    design = spec.design_ratios
+    design, floats = spec.design_ratios, spec.design_floats
     if spec.design_eps != eps:
         per = assignment_erasures(assignment, family).per_subword
         design = codec.synthetic_erasure_ratios(per, m - t, eps)
+        floats = [n / d for n, d in design]
     if args.format == "csv":
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)
         for i, rate in enumerate(report.per_bit_rates):
-            n, d = design[i]
-            rows.append([i, f"{rate:.12g}", _decimal(n / d), int(i in frozen)])
+            rows.append([i, f"{rate:.12g}", _decimal(floats[i]), int(i in frozen)])
         return rows, 0
-    text = _exact if args.exact else lambda n, d: _decimal(n / d)
     return {
         "command": "simulate",
         **report.to_json_dict(),
-        "design_erasures": [text(n, d) for n, d in design],
+        "design_erasures": (
+            [_exact(n, d) for n, d in design] if args.exact else [_decimal(x) for x in floats]
+        ),
     }, 0
 
 

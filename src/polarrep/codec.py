@@ -58,7 +58,8 @@ if TYPE_CHECKING:
 ORACLE_MAX_BITS = 16
 
 #: Largest m the exact design accepts: the numerators double in bits per
-#: inner level, and m=15 already takes about 17 s and 600 MB.
+#: inner level, and m=15 already takes about 12 s and 300 MB at eps = 1/2
+#: (35 s and 460 MB at eps = 1/3).
 MAX_DESIGN_M = 15
 
 #: A Monte Carlo flow batch holds up to 64 times this many pattern-symbols
@@ -88,7 +89,8 @@ class CodeSpec:
     i of sub-codeword j, which is also the successive-cancellation decode
     order.  ``design_ratios`` holds the erasures at ``design_eps`` that
     chose the frozen set, as reduced integer ratios (numerator,
-    denominator); derived, they stay out of equality and output.
+    denominator), and ``design_floats`` their correctly rounded floats;
+    derived, they stay out of equality and output.
     """
 
     m: int
@@ -99,6 +101,7 @@ class CodeSpec:
     k: int
     frozen: tuple[int, ...]
     design_ratios: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
+    design_floats: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -203,9 +206,12 @@ def design_code(
 
     All 2**m synthetic erasures are evaluated exactly at the design point
     and the worst 2**m - k are frozen; at equal erasure the larger index is
-    frozen first, so constructions are deterministic.  The ranking compares
-    integers: each numerator brought over the least common denominator.
-    The ratios are kept on the spec as ``design_ratios``.  m is at most
+    frozen first, so constructions are deterministic.  The ranking sorts the
+    correctly rounded floats n / d: rounding is monotone, so floats that
+    differ are already in exact order, and only the run of floats equal to
+    the one at the cut is re-sorted, on integer keys over the least common
+    denominator of that run.  The ratios are kept on the spec as
+    ``design_ratios`` and their floats as ``design_floats``.  m is at most
     ``MAX_DESIGN_M``.
     """
     if m > MAX_DESIGN_M:
@@ -221,13 +227,21 @@ def design_code(
         raise ValueError(f"family kernels have size {family.size}, expected {1 << t}")
     per = assignment_erasures(assignment, family).per_subword
     ratios = synthetic_erasure_ratios(per, m - t, design_eps)
-    dens = {d for _, d in ratios}
-    common = math.lcm(*dens)
-    scale = {d: common // d for d in dens}
-    keys = [n * scale[d] for n, d in ratios]
-    # A stable sort keeps the input order among equal keys: larger index first.
-    order = sorted(reversed(range(1 << m)), key=keys.__getitem__, reverse=True)
-    frozen = tuple(sorted(order[: (1 << m) - k]))
+    floats = [n / d for n, d in ratios]
+    size = 1 << m
+    cut = size - k
+    frozen: tuple[int, ...] = tuple(range(cut))
+    if 0 < cut < size:
+        # A stable sort keeps the input order among equal keys: larger index first.
+        order = sorted(reversed(range(size)), key=floats.__getitem__, reverse=True)
+        # Floats that differ are in exact order; only the tie run at the cut
+        # is re-sorted, on exact keys and again stably.
+        tied = floats[order[cut]]
+        lo = sum(x > tied for x in floats)
+        run = order[lo : lo + floats.count(tied)]
+        common = math.lcm(*{ratios[i][1] for i in run})
+        run.sort(key=lambda i: ratios[i][0] * (common // ratios[i][1]), reverse=True)
+        frozen = tuple(sorted(order[:lo] + run[: cut - lo]))
     return CodeSpec(
         m=m,
         t=t,
@@ -237,6 +251,7 @@ def design_code(
         k=k,
         frozen=frozen,
         design_ratios=tuple(ratios),
+        design_floats=tuple(floats),
     )
 
 

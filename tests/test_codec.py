@@ -1,5 +1,6 @@
 """Codec: construction, encoding, decoding, oracle, and simulation."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -34,6 +35,24 @@ REG2 = family_by_name("reg2")
 A01 = PatternAssignment([0, 1])
 
 RATIO_EPS = [F(0), F(1), F(1, 2), F(1, 3), F(2, 5), F(1, 6), F(5, 7)]
+
+#: SHA-256 of the comma-joined frozen indices at k = 2**m / 2, pinned from
+#: the exact ranking on integer keys over the least common denominator of
+#: all 2**m design erasures.
+GOLDEN_FROZEN = [
+    ("irr4", [2, 5, 7, 7], 12, F(1, 2),
+     "31ef6f1febedca954d6dcfc7d776b4d3cf0a63e3afd8dd8ae91da966498141d4"),
+    ("irr4", [2, 5, 7, 7], 12, F(1, 3),
+     "84f4e631b879c415169c7840dcc14a1f5704bba0dbe8c27030410b9aa21f85bd"),
+    ("reg4", [0, 3, 3, 3], 12, F(1, 2),
+     "82b29257a69eb8ef036856d7da6dce3a270b64ce8ad940a48c2b7c1b2d347ebd"),
+    ("reg4", [0, 3, 3, 3], 12, F(1, 3),
+     "9cb44da2e80bd99f67c649d215ba681f48a40589c0c9cffb64c9e1a0de05eb8a"),
+    ("irr4", [2, 5, 7, 7], 13, F(1, 2),
+     "69ae7e8622936f625add85198da88f783941f3ee13e9d1562e5790fed6400ef1"),
+    ("irr4", [2, 5, 7, 7], 14, F(1, 2),
+     "46921b77527fbe79aac22da426d5e4e28c8825d7e8d2d64c7ebd4a7010eb5a67"),
+]
 
 
 def fraction_design_values(per_subword, levels, eps):
@@ -147,6 +166,32 @@ class TestDesignCode:
                     worst = sorted(range(n), key=lambda i: (values[i], i), reverse=True)
                     spec = design_code(m, t, assignment, eps, k, family)
                     assert spec.frozen == tuple(sorted(worst[: n - k]))
+
+    def test_float_ties_ranked_exactly(self):
+        """reg2 {0,1} at m=10 and eps=1/20: 69 design erasures round to 0.0
+        and 12 more are subnormal, so the floats tie where the exact values
+        differ.  k = 1 and 35 cut inside the 0.0 run, k = 69 and 70 at its
+        edge, k = 512 far from it."""
+        m, eps = 10, F(1, 20)
+        n = 1 << m
+        values = fraction_design_values(assignment_erasures(A01, REG2).per_subword, m - 1, eps)
+        worst = sorted(range(n), key=lambda i: (values[i], i), reverse=True)
+        for k in (1, 35, 69, 70, 512):
+            spec = design_code(m, 1, A01, eps, k, REG2)
+            assert spec.frozen == tuple(sorted(worst[: n - k])), k
+        assert spec.design_floats == tuple(float(v) for v in values)
+        zeros = [values[i] for i in range(n) if spec.design_floats[i] == 0.0]
+        assert len(zeros) == len(set(zeros)) == 69
+        assert sum(0.0 < x < 2.0**-1022 for x in spec.design_floats) == 12
+
+    @pytest.mark.parametrize(
+        "name, indices, m, eps, digest",
+        GOLDEN_FROZEN,
+        ids=[f"{c[0]}-{''.join(map(str, c[1]))}-m{c[2]}-{c[3]}" for c in GOLDEN_FROZEN],
+    )
+    def test_golden_frozen_sets(self, name, indices, m, eps, digest):
+        spec = design_code(m, 2, PatternAssignment(indices), eps, 1 << (m - 1), family_by_name(name))
+        assert hashlib.sha256(",".join(map(str, spec.frozen)).encode()).hexdigest() == digest
 
 
 class TestEncode:
