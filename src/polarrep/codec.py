@@ -6,26 +6,24 @@ the r sub-codewords, each of which is an inner polar codeword of length
 sub-codewords is decoded first, using partner estimates assembled from the
 second-half legs of blocks whose bottom kernels match; once known, it is
 subtracted and the later half is decoded from everything that carries it.
-Messages live in {0, 1, erased}: a check combine erases if either input is
-erased (else XOR), a variable combine erases only if all inputs are erased
-(conflicting known values are impossible over an erasure channel).
 
-That schedule is written once, in ``_walk``; what a combine does to a
-message comes from one of two op sets, and both walk row ints: ``_Values``
-for ``sc_decode`` carries (values, known) pairs with symbol i at bit i, and
-``_Flags`` for the erasure flow (``erasure_flow``, the oracle and the Monte
-Carlo) carries erasure lanes.  ``_Flags`` also counts the symbol-level
-combines of one decode, so ``decode_operation_count`` and the Monte Carlo
-report the operations of the walk the decoder actually runs.  ``encode`` and
-the decoder's interference removal share one encoder,
-``patterns.apply_kernel`` down a kernel tree: the polar transform's tree for
-the inner code, each block's kernel for the blocks.
+That decoder is written once: ``_walk`` is its schedule and ``_SC`` its one
+op set.  Messages are (values, erased) row-int pairs with ``lanes`` bits per
+symbol, one pattern per bit of a lane.  A check combine XORs the values and
+erases where either input is erased; a variable combine takes each symbol
+from the first input that knows it and erases only where all inputs are
+erased (known symbols never conflict over an erasure channel); interference
+removal XORs in the re-encoded earlier half.  ``sc_decode`` is the decoder
+with one lane.  Erasure propagation does not depend on the transmitted
+values, so the erasure flow (``_flow``: ``erasure_flow``, the oracle, the
+Monte Carlo and ``decode_operation_count``) is the same decoder on all-zero
+values, with one lane per erasure pattern, deciding all patterns in one
+walk; it also counts the symbol-level combines of one decode, so the
+operation count is that of the walk the decoder actually runs.  ``encode``
+and the interference removal share one encoder, ``patterns.apply_kernel``
+down a kernel tree: the polar transform's tree for the inner code, each
+block's kernel for the blocks.
 
-Because erasure propagation does not depend on the transmitted values, the
-per-bit behavior of this decoder is a deterministic function of the erasure
-pattern.  Every flag combine is an AND or an OR, so the flow runs
-bit-sliced on Python ints: a row int holds the lanes of its symbols, one
-pattern per bit of each lane, and one walk decides all patterns at once.
 The exact oracle builds the lanes of all 2**N patterns of a short code
 directly and counts each bit's failures per pattern weight to get exact
 per-bit erasure polynomials; it is the ground truth the design analysis in
@@ -45,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .effective_channels import assignment_erasures
+from .effective_channels import _kernel_groups, assignment_erasures
 from .patterns import LEAF, Kernel, PatternAssignment, PatternFamily, apply_kernel
 from .poly import EPS, Poly
 
@@ -57,9 +55,9 @@ if TYPE_CHECKING:
 #: first one refused.
 ORACLE_MAX_BITS = 16
 
-#: Largest m the exact design accepts: the numerators double in bits per
-#: inner level, and m=15 already takes about 12 s and 300 MB at eps = 1/2
-#: (35 s and 460 MB at eps = 1/3).
+#: Largest m of any spec, designed or not: the exact design's numerators
+#: double in bits per inner level, and m=15 already takes about 12 s and
+#: 300 MB at eps = 1/2 (35 s and 460 MB at eps = 1/3).
 MAX_DESIGN_M = 15
 
 #: A Monte Carlo flow batch holds up to 64 times this many pattern-symbols
@@ -194,6 +192,19 @@ def synthetic_polynomials(spec: CodeSpec) -> list[Poly]:
     return _polarize(list(per), spec.m - spec.t, Poly.one())
 
 
+def _check_shape(m: int, t: int, assignment: PatternAssignment, family: PatternFamily) -> None:
+    """Refuse a code shape no spec can have: m above ``MAX_DESIGN_M``, t
+    outside [0, m], kernels not of size 2**t, or an assignment with an index
+    outside the family or not one block per kernel position."""
+    if m > MAX_DESIGN_M:
+        raise ValueError(f"m={m} exceeds the exact design bound MAX_DESIGN_M={MAX_DESIGN_M}")
+    if not 0 <= t <= m:
+        raise ValueError(f"need 0 <= t <= m, got t={t}, m={m}")
+    if family.size != (1 << t):
+        raise ValueError(f"family kernels have size {family.size}, expected {1 << t}")
+    _kernel_groups(assignment, family)
+
+
 def design_code(
     m: int,
     t: int,
@@ -214,17 +225,12 @@ def design_code(
     ``design_ratios`` and their floats as ``design_floats``.  m is at most
     ``MAX_DESIGN_M``.
     """
-    if m > MAX_DESIGN_M:
-        raise ValueError(f"m={m} exceeds the exact design bound MAX_DESIGN_M={MAX_DESIGN_M}")
-    if not 0 <= t <= m:
-        raise ValueError(f"need 0 <= t <= m, got t={t}, m={m}")
+    _check_shape(m, t, assignment, family)
     if not 0 <= k <= (1 << m):
         raise ValueError(f"info bit count {k} out of range for m={m}")
     design_eps = Fraction(design_eps)
     if not 0 <= design_eps <= 1:
         raise ValueError(f"design erasure must lie in [0, 1], got {design_eps}")
-    if family.size != (1 << t):
-        raise ValueError(f"family kernels have size {family.size}, expected {1 << t}")
     per = assignment_erasures(assignment, family).per_subword
     ratios = synthetic_erasure_ratios(per, m - t, design_eps)
     floats = [n / d for n, d in ratios]
@@ -329,53 +335,76 @@ def _carriers(spec: CodeSpec, rows: Any) -> list[tuple[Kernel, Any]]:
     return [(kern, rows[b * r : (b + 1) * r]) for b, kern in enumerate(spec.kernels())]
 
 
-# -- value-level SC decoding ------------------------------------------------
+# -- the SC decoder ---------------------------------------------------------
 
 def _inner_sc(
-    values: int, known: int, width: int, frozen: set[int], bit_offset: int
-) -> tuple[int, int]:
-    """Standard polar SC on one row's (values, known) ints; returns the
-    decoded u-bits and the re-encoded sub-codeword as ints, bit i for
-    symbol i."""
+    values: int, erased: int, width: int, lanes: int, frozen: set[int], bit_offset: int
+) -> tuple[list[tuple[int, int]], int]:
+    """Standard polar SC on one row's (values, erased) lanes; returns each
+    u-bit's (value, erased) lanes, a frozen bit's value 0, and the re-encoded
+    sub-codeword."""
     if width == 1:
-        if bit_offset in frozen:
-            return 0, 0
-        if not known:
-            raise DecodeFailure(bit_offset)
-        return values, values
+        u = 0 if bit_offset in frozen else values
+        return [(u, erased)], u
     h = width // 2
-    mask = (1 << h) - 1
-    v0, v1, k0, k1 = values & mask, values >> h, known & mask, known >> h
-    u0, x0 = _inner_sc((v0 ^ v1) & k0 & k1, k0 & k1, h, frozen, bit_offset)
-    u1, x1 = _inner_sc(((v0 ^ x0) & k0) | v1, k0 | k1, h, frozen, bit_offset + h)
-    return u0 | u1 << h, (x0 ^ x1) | x1 << h
+    shift = h * lanes
+    mask = (1 << shift) - 1
+    v0, v1, e0, e1 = values & mask, values >> shift, erased & mask, erased >> shift
+    del mask  # as wide as half the row: free it before the recursion
+    bits0, x0 = _inner_sc(v0 ^ v1, e0 | e1, h, lanes, frozen, bit_offset)
+    bits1, x1 = _inner_sc(v1 ^ ((v1 ^ v0 ^ x0) & e1), e0 & e1, h, lanes, frozen, bit_offset + h)
+    return bits0 + bits1, (x0 ^ x1) | x1 << shift
 
 
-class _Values:
-    """Messages are lists of (values, known) row-int pairs, one per kernel
-    position, in the flow's layout with one lane: symbol i sits at bit i, and
-    a value bit is zero wherever its symbol is unknown.  Known values never
-    conflict over an erasure channel, so a variable combine ORs both ints.  A
-    leaf yields the decoded u-bits and the re-encoded sub-codeword, which
-    ``cancel`` needs."""
+def _merge(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Variable combine: each symbol from the first message that knows it."""
+    (v, e), (w, f) = a, b
+    return v ^ ((v ^ w) & e), e & f
 
-    def __init__(self, frozen: set[int], width: int):
+
+class _SC:
+    """The decoder's op set.  Messages are lists of (values, erased) row-int
+    pairs, one per kernel position: a row holds the lanes of its ``width``
+    symbols, symbol i at bits i*lanes to (i+1)*lanes - 1, and bit s of a lane
+    for pattern s.  A value bit means nothing where its symbol is erased.  A
+    leaf yields each u-bit's (value, erased) lanes and the re-encoded
+    sub-codeword, which ``cancel`` needs.
+
+    Every combine adds the symbol-level operation count of one decode to
+    ``ops``, whatever the number of lanes; the inner decoder of a leaf costs
+    ``width * log2(width)``."""
+
+    def __init__(self, frozen: set[int], width: int, lanes: int):
         self.frozen = frozen
         self.width = width
+        self.lanes = lanes
+        self.ops = 0
 
     def merge(self, msgs):
-        return [tuple(functools.reduce(operator.or_, ints) for ints in zip(*rows))
-                for rows in zip(*msgs)]
+        self.ops += (len(msgs) - 1) * len(msgs[0]) * self.width
+        return [functools.reduce(_merge, rows) for rows in zip(*msgs)]
 
     def check(self, msg, estimate):
-        return [((v ^ w) & k & j, k & j) for (v, k), (w, j) in zip(msg, estimate)]
+        self.ops += len(msg) * self.width
+        return [(v ^ w, e | f) for (v, e), (w, f) in zip(msg, estimate)]
 
     def cancel(self, msg, a: Kernel, known):
+        self.ops += len(msg) * self.width
         coded = apply_kernel(a, [(x,) for _, x in known])
-        return [((v ^ x) & k, k) for (v, k), x in zip(msg, coded)]
+        return [(v ^ x, e) for (v, e), x in zip(msg, coded)]
 
     def leaf(self, msg, j: int):
-        return _inner_sc(*msg[0], self.width, self.frozen, j * self.width)
+        self.ops += self.width * (self.width.bit_length() - 1)
+        return _inner_sc(*msg[0], self.width, self.lanes, self.frozen, j * self.width)
+
+
+def _decode(spec: CodeSpec, rows: list, lanes: int) -> tuple[list[tuple[int, int]], int]:
+    """(value, erased) lanes of every u-bit, given the r*r (values, erased)
+    row ints of the received blocks (row q holds symbols q*inner_len
+    onwards), and the combine count of one decode."""
+    sc = _SC(set(spec.frozen), spec.inner_len, lanes)
+    leaves = _walk(_carriers(spec, rows), sc)
+    return [bit for bits, _ in leaves for bit in bits], sc.ops
 
 
 def sc_decode(spec: CodeSpec, received: Sequence[int | None]) -> list[int]:
@@ -383,7 +412,10 @@ def sc_decode(spec: CodeSpec, received: Sequence[int | None]) -> list[int]:
 
     ``received`` holds the concatenated blocks with ``None`` marking
     erasures.  Returns the information bits; raises :class:`DecodeFailure`
-    with the first undecodable unfrozen bit index otherwise.
+    with the first undecodable unfrozen bit index otherwise.  The known
+    symbols must be those of a codeword, as over an erasure channel: a
+    variable combine takes each symbol from the first input that knows it,
+    so a word whose known symbols conflict may decode either way.
     """
     if len(received) != spec.total_len:
         raise ValueError(f"expected {spec.total_len} symbols, got {len(received)}")
@@ -391,65 +423,25 @@ def sc_decode(spec: CodeSpec, received: Sequence[int | None]) -> list[int]:
         if s not in (0, 1, None):
             raise ValueError(f"received symbols must be 0, 1 or None, got {s!r}")
     values = int("".join("1" if s == 1 else "0" for s in reversed(received)), 2)
-    known = int("".join("0" if s is None else "1" for s in reversed(received)), 2)
+    erased = int("".join("1" if s is None else "0" for s in reversed(received)), 2)
     width = spec.inner_len
     mask = (1 << width) - 1
-    rows = [(values >> q & mask, known >> q & mask) for q in range(0, spec.total_len, width)]
-    leaves = _walk(_carriers(spec, rows), _Values(set(spec.frozen), width))
-    u_hat = sum(u << j * width for j, (u, _) in enumerate(leaves))
-    return [u_hat >> i & 1 for i in spec.info_positions]
+    rows = [(values >> q & mask, erased >> q & mask) for q in range(0, spec.total_len, width)]
+    bits, _ = _decode(spec, rows, 1)
+    for i in spec.info_positions:
+        if bits[i][1]:
+            raise DecodeFailure(i)
+    return [bits[i][0] for i in spec.info_positions]
 
 
 # -- batched genie-aided erasure propagation --------------------------------
 
-def _inner_flags(row: int, width: int, lanes: int) -> list[int]:
-    if width == 1:
-        return [row]
-    h = width // 2
-    low, high = row & ((1 << h * lanes) - 1), row >> h * lanes
-    return _inner_flags(low | high, h, lanes) + _inner_flags(low & high, h, lanes)
-
-
-class _Flags:
-    """Messages are lists of row ints, one per kernel position: a row holds
-    the erasure lanes of its ``width`` symbols, symbol i at bits i*lanes to
-    (i+1)*lanes - 1 and bit s of a lane for pattern s.  Values are never
-    needed because erasure propagation does not depend on them, so
-    interference removal leaves a mask unchanged.
-
-    Every combine adds the symbol-level operation count of one decode to
-    ``ops``, whatever the number of lanes; the inner decoder of a leaf costs
-    ``width * log2(width)``."""
-
-    def __init__(self, width: int, lanes: int):
-        self.width = width
-        self.lanes = lanes
-        self.ops = 0
-
-    def merge(self, msgs):
-        self.ops += (len(msgs) - 1) * len(msgs[0]) * self.width
-        return [functools.reduce(operator.and_, rows) for rows in zip(*msgs)]
-
-    def check(self, msg, estimate):
-        self.ops += len(msg) * self.width
-        return list(map(operator.or_, msg, estimate))
-
-    def cancel(self, msg, a: Kernel, known):
-        self.ops += len(msg) * self.width
-        return msg
-
-    def leaf(self, msg, j: int):
-        self.ops += self.width * (self.width.bit_length() - 1)
-        return _inner_flags(msg[0], self.width, self.lanes)
-
-
 def _flow(spec: CodeSpec, rows: list[int], lanes: int) -> tuple[list[int], int]:
-    """Erasure lane of every u-bit, given the r*r row ints of the received
-    blocks (row q holds symbols q*inner_len onwards), and the combine count
-    of one decode."""
-    flags = _Flags(spec.inner_len, lanes)
-    leaves = _walk(_carriers(spec, rows), flags)
-    return [f for leaf in leaves for f in leaf], flags.ops
+    """Erasure lane of every u-bit, given the r*r erasure row ints of the
+    received blocks, and the combine count of one decode: the decoder on
+    all-zero values, which erasure propagation does not depend on."""
+    bits, ops = _decode(spec, [(0, e) for e in rows], lanes)
+    return [e for _, e in bits], ops
 
 
 def decode_operation_count(spec: CodeSpec) -> int:
@@ -458,36 +450,13 @@ def decode_operation_count(spec: CodeSpec) -> int:
     return _flow(spec, [0] * (spec.r * spec.r), 1)[1]
 
 
-def _pack(erased: np.ndarray) -> np.ndarray:
-    """Boolean (batch, symbols) patterns as symbol-major ``uint8`` lanes
-    (symbols, bytes): bit k of byte b is pattern 8b + k.  Padding patterns
-    are all zero, and an unerased pattern flags nothing, so they never count
-    as failures."""
-    import numpy as np
-
-    batch, n_sym = erased.shape
-    size = -(-batch // 8)
-    if batch % 8:
-        erased = np.concatenate([erased, np.zeros((size * 8 - batch, n_sym), dtype=bool)])
-    octets = erased.view(np.uint8).reshape(size, 8, n_sym) << np.arange(8, dtype=np.uint8)[:, None]
-    return np.bitwise_or.reduce(octets, axis=1).T
-
-
-def _rows(lanes: np.ndarray, width: int) -> list[int]:
-    """Row ints of contiguous symbol-major lanes, ``width`` symbols per row,
-    read through one memoryview."""
-    data = memoryview(lanes).cast("B")
-    step = width * lanes.shape[1]
-    return [int.from_bytes(data[q : q + step], "little") for q in range(0, len(data), step)]
-
-
 def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
     """Genie-aided per-bit erasure flags for a batch of erasure patterns.
 
     ``erased`` is boolean with shape (batch, total_len); the result has
     shape (batch, 2**m), entry (s, i) telling whether u-bit i is left
-    undetermined in pattern s when all earlier bits are known.  Value
-    tracking is unnecessary: erasure propagation is value-independent.
+    undetermined in pattern s when all earlier bits are known.  The sent
+    values are not needed: erasure propagation does not depend on them.
     """
     import numpy as np
 
@@ -495,9 +464,13 @@ def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
     batch, n_sym = erased.shape
     if n_sym != spec.total_len:
         raise ValueError(f"expected {spec.total_len} symbols, got {n_sym}")
-    lanes = np.ascontiguousarray(_pack(erased))
-    size = lanes.shape[1]
-    flags, _ = _flow(spec, _rows(lanes, spec.inner_len), 8 * size)
+    # Symbol-major lanes: bit k of byte b of a symbol's lane is pattern 8b + k,
+    # and padding patterns erase nothing, so they never count as failures.
+    data = np.packbits(erased, axis=0, bitorder="little").T.tobytes()
+    size = -(-batch // 8)
+    step = spec.inner_len * size
+    rows = [int.from_bytes(data[q * step : (q + 1) * step], "little") for q in range(spec.r**2)]
+    flags, _ = _flow(spec, rows, 8 * size)
     data = np.frombuffer(b"".join(f.to_bytes(size, "little") for f in flags), dtype=np.uint8)
     bits = np.unpackbits(data.reshape(spec.n, size), axis=1, count=batch, bitorder="little")
     return bits.T.astype(bool)
@@ -553,8 +526,10 @@ def oracle_spec(
     m: int,
     t: int,
 ) -> CodeSpec:
-    """All-bits-unfrozen spec for oracle runs and channel measurements."""
-    return design_code(m, t, assignment, Fraction(1, 2), 1 << m, family)
+    """All-bits-unfrozen spec for oracle runs and channel measurements.
+    Nothing is frozen, so no design erasure is evaluated."""
+    _check_shape(m, t, assignment, family)
+    return CodeSpec(m, t, family, assignment, Fraction(1, 2), 1 << m, ())
 
 
 # -- Monte Carlo -------------------------------------------------------------
@@ -741,18 +716,16 @@ def compare_oracle_with_analysis(
     """Run the oracle and diff it against analysis channels, per coefficient.
 
     ``analysis`` defaults to the design channels of the assignment; pass the
-    golden reference expressions to compare those instead.  Sub-codeword
-    channels are inner polarized so both sides describe the same 2**m bits.
-    A total length over ORACLE_MAX_BITS is refused before the exact design,
-    which alone takes seconds at m=14; any other bad (m, t) is left to
-    ``design_code`` and its messages.
+    golden reference expressions to compare those instead, one per
+    sub-codeword.  Sub-codeword channels are inner polarized so both sides
+    describe the same 2**m bits.
     """
-    if 0 <= t <= m <= MAX_DESIGN_M and 1 << (m + t) > ORACLE_MAX_BITS:
-        raise ValueError(f"total length {1 << (m + t)} exceeds oracle bound {ORACLE_MAX_BITS}")
     spec = oracle_spec(family, assignment, m, t)
-    oracle = exact_erasure_oracle(spec)
     if analysis is None:
         analysis = assignment_erasures(assignment, family).per_subword
+    if len(analysis) != spec.r:
+        raise ValueError(f"expected {spec.r} analysis polynomials, got {len(analysis)}")
+    oracle = exact_erasure_oracle(spec)
     composed = _polarize(list(analysis), m - t, Poly.one())
     mism = tuple(i for i in range(1 << m) if oracle[i] != composed[i])
     return OracleComparison(

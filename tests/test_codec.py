@@ -26,7 +26,7 @@ from polarrep.codec import (
     synthetic_erasure_values,
     synthetic_polynomials,
 )
-from polarrep.effective_channels import assignment_erasures
+from polarrep.effective_channels import assignment_erasures, reference_expression_set
 from polarrep.patterns import PatternAssignment, family_by_name, regular_family
 from polarrep.poly import EPS, Poly
 from polarrep.search import enumerate_assignments
@@ -53,6 +53,18 @@ GOLDEN_FROZEN = [
     ("irr4", [2, 5, 7, 7], 14, F(1, 2),
      "46921b77527fbe79aac22da426d5e4e28c8825d7e8d2d64c7ebd4a7010eb5a67"),
 ]
+
+#: Code shapes of the golden decode corpus, each at three partial frozen sets.
+GOLDEN_DECODE_SHAPES = [
+    ("reg2", [0, 1], 3), ("reg2", [0, 1], 8), ("reg2", [1, 1], 6),
+    ("reg4", [0, 3, 3, 3], 4), ("reg4", [1, 2, 3, 3], 7),
+    ("irr4", [2, 5, 7, 7], 2), ("irr4", [2, 5, 7, 7], 8), ("irr4", [0, 3, 6, 7], 5),
+    ("reg8", [0, 1, 2, 3, 4, 5, 6, 7], 3), ("reg8", [0, 0, 3, 5, 5, 6, 7, 7], 6),
+]
+
+#: SHA-256 of the corpus's decode results (720 words, 86 failures), pinned
+#: from the decoder whose variable combine ORed known values.
+GOLDEN_DECODES = "a12c7fc3f33fde1e5f212ff565700444d431469cc45d16b3d4dee9facb31918e"
 
 
 def fraction_design_values(per_subword, levels, eps):
@@ -114,6 +126,34 @@ class TestDesignCode:
             design_code(codec.MAX_DESIGN_M, 2, assignment, F(1, 2), 1, irr4)
         with pytest.raises(ValueError, match="exceeds the exact design bound"):
             design_code(codec.MAX_DESIGN_M + 1, 2, assignment, F(1, 2), 1, irr4)
+
+    def test_oracle_spec_evaluates_no_design(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("design erasures evaluated for an all-unfrozen spec")
+
+        monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+        irr4 = family_by_name("irr4")
+        assignment = PatternAssignment([2, 5, 7, 7])
+        spec = oracle_spec(irr4, assignment, codec.MAX_DESIGN_M, 2)
+        assert (spec.k, spec.frozen, spec.design_ratios) == (spec.n, (), ())
+        assert spec == CodeSpec(codec.MAX_DESIGN_M, 2, irr4, assignment, F(1, 2), spec.n, ())
+
+    @pytest.mark.parametrize(
+        "name, indices, m, t, reason",
+        [
+            ("irr4", [2, 5, 7, 7], 16, 2, "m=16 exceeds the exact design bound MAX_DESIGN_M=15"),
+            ("irr4", [2, 5, 7, 7], 1, 2, "need 0 <= t <= m, got t=2, m=1"),
+            ("irr4", [2, 5, 7, 7], 3, 1, "family kernels have size 4, expected 2"),
+            ("irr4", [2, 5, 7, 9], 3, 2, "index 9 out of range for family irr4"),
+            ("irr4", [2, 5, 7], 3, 2, "assignment has 3 blocks but kernels have size 4"),
+        ],
+    )
+    def test_shape_checks_shared_with_oracle_spec(self, name, indices, m, t, reason):
+        family, assignment = family_by_name(name), PatternAssignment(indices)
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            design_code(m, t, assignment, F(1, 2), 1, family)
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            oracle_spec(family, assignment, m, t)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -266,7 +306,34 @@ class TestScDecode:
         # Only info bit is u2 = c2; block 2 = (c1, c2) = (0, 1)
         assert sc_decode(spec, [None, None, None, 1]) == [1]
 
+    def test_golden_decodes(self):
+        # Encoded codewords under random erasures: each word's decoded
+        # message or first failing bit, over reg2, reg4, irr4 and reg8 shapes
+        # at m up to 8 with partial frozen sets.
+        rng = random.Random(19)
+        lines = []
+        for name, indices, m in GOLDEN_DECODE_SHAPES:
+            family = family_by_name(name)
+            t = family.size.bit_length() - 1
+            n = 1 << m
+            for k, design_eps in ((n // 4, F(1, 2)), (n // 2, F(1, 3)), (3 * n // 4, F(1, 2))):
+                spec = design_code(m, t, PatternAssignment(indices), design_eps, k, family)
+                for p in (0.1, 0.3, 0.5, 0.7):
+                    for _ in range(6):
+                        info = [rng.randint(0, 1) for _ in range(k)]
+                        word = [None if rng.random() < p else b
+                                for blk in encode(spec, info) for b in blk]
+                        try:
+                            got = "".join(map(str, sc_decode(spec, word)))
+                        except DecodeFailure as err:
+                            got = f"fail {err.bit_index}"
+                        lines.append(f"{name}{indices} m={m} k={k}: {got}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_DECODES
+
     def test_matches_erasure_flow_on_random_patterns(self):
+        # sc_decode runs the decoder on one lane and erasure_flow on one lane
+        # per pattern of a batch, so this checks both that lanes stay
+        # independent and that the decoded values are the message.
         rng = random.Random(5)
         irr4 = family_by_name("irr4")
         specs = [
@@ -313,6 +380,11 @@ class TestScDecode:
                 assert (erasure_flow(spec, np.asfortranarray(patterns)) == flags).all()
                 for pattern, row in zip(patterns, flags):
                     check(spec, pattern, row)
+
+    def test_erasure_flow_empty_batch(self):
+        spec = design_code(3, 1, A01, F(1, 2), 4, REG2)
+        flags = erasure_flow(spec, np.zeros((0, spec.total_len), dtype=bool))
+        assert flags.shape == (0, spec.n) and flags.dtype == bool
 
 
 class TestOracle:
@@ -361,6 +433,13 @@ class TestOracle:
             assert gap.coeffs[:4] == (0,) * 4 and gap.coeffs[4] != 0
             assert gap.evaluate(F(1, 2)) == at_half
             assert gap.compose(Poly.one() - EPS).coeffs[: len(near_one)] == near_one
+
+    @pytest.mark.parametrize("count", [0, 4])
+    def test_analysis_needs_one_polynomial_per_subcodeword(self, count):
+        # The four irr4 reference polynomials, or none, for a two-block code.
+        analysis = reference_expression_set("irregular_best_r4").per_subword[:count]
+        with pytest.raises(ValueError, match=f"expected 2 analysis polynomials, got {count}"):
+            compare_oracle_with_analysis(REG2, A01, 2, 1, analysis)
 
     def test_requires_all_unfrozen_and_small(self):
         spec = design_code(1, 1, A01, F(1, 2), 1, REG2)
