@@ -291,10 +291,9 @@ def cmd_simulate(args) -> tuple[dict | list, int]:
         raise ValueError("simulate --format csv ignores --exact: CSV prints decimals")
     family = _simulate_family(args)
     t = family.size.bit_length() - 1
-    if args.m < 0:
-        # design_code's own check, made before 1 << m below and in the oracle.
-        raise ValueError(f"need 0 <= t <= m, got t={t}, m={args.m}")
     assignment = PatternAssignment(args.assign)
+    # design_code's and oracle_spec's own check, made before 1 << m below.
+    codec._check_shape(args.m, t, assignment, family)
     if args.oracle:
         comparison = codec.compare_oracle_with_analysis(family, assignment, args.m, t)
         return {"command": "simulate-oracle", **comparison.to_json_dict()}, 0
@@ -313,11 +312,13 @@ def cmd_simulate(args) -> tuple[dict | list, int]:
     design_eps = args.design_eps if args.design_eps is not None else eps
     spec = codec.design_code(m, t, assignment, design_eps, k, family)
     report = codec.monte_carlo(spec, eps, trials, seed=seed)
-    design, floats = spec.design_ratios, spec.design_floats
-    if spec.design_eps != eps:
-        per = assignment_erasures(assignment, family).per_subword
+    per = assignment_erasures(assignment, family).per_subword
+    if args.exact:
         design = codec.synthetic_erasure_ratios(per, m - t, eps)
-        floats = [n / d for n, d in design]
+    elif spec.design_eps == eps:
+        floats = spec.design_floats
+    else:
+        floats = codec.synthetic_erasure_floats(per, m - t, eps)
     if args.format == "csv":
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)

@@ -36,7 +36,6 @@ is imported only by ``erasure_flow``, whose patterns come as boolean arrays.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import random
 from dataclasses import dataclass, field
@@ -45,6 +44,13 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from .effective_channels import _kernel_groups, assignment_erasures
 from .patterns import LEAF, Kernel, PatternAssignment, PatternFamily, apply_kernel
+from .polarize import (  # all three design erasure forms are read from codec
+    _polarize,
+    _rank_ties,
+    synthetic_erasure_floats,
+    synthetic_erasure_ratios,
+    synthetic_erasure_values,
+)
 from .poly import EPS, Poly
 
 if TYPE_CHECKING:
@@ -55,9 +61,12 @@ if TYPE_CHECKING:
 #: first one refused.
 ORACLE_MAX_BITS = 16
 
-#: Largest m of any spec, designed or not: the exact design's numerators
-#: double in bits per inner level, and m=15 already takes about 12 s and
-#: 300 MB at eps = 1/2 (35 s and 460 MB at eps = 1/3).
+#: Largest m of any spec, designed or not.  The design ranks on certified
+#: floats, but exact design ratios (``synthetic_erasure_ratios``, behind
+#: ``simulate --exact`` and ``CodeSpec.design_ratios``), ``synthetic_polynomials``
+#: and the exact fallback of the ranking still double their numerators' bits
+#: per inner level: all 2**15 exact ratios take about 12 s and 300 MB at
+#: eps = 1/2 (35 s and 460 MB at eps = 1/3).
 MAX_DESIGN_M = 15
 
 #: A Monte Carlo flow batch holds up to 64 times this many pattern-symbols
@@ -85,10 +94,11 @@ class CodeSpec:
     ``frozen`` is the sorted tuple of frozen u-bit indices; the remaining
     ``k`` indices carry information.  Global bit index j*2**(m-t) + i is bit
     i of sub-codeword j, which is also the successive-cancellation decode
-    order.  ``design_ratios`` holds the erasures at ``design_eps`` that
-    chose the frozen set, as reduced integer ratios (numerator,
-    denominator), and ``design_floats`` their correctly rounded floats;
-    derived, they stay out of equality and output.
+    order.  ``design_floats`` holds the correctly rounded erasures at
+    ``design_eps`` that chose the frozen set; derived, they stay out of
+    equality and output.  ``design_ratios`` (reduced integer ratios) and
+    ``design_erasures`` (fractions) evaluate the same erasures exactly on
+    demand, and are empty for a spec with no design.
     """
 
     m: int
@@ -98,7 +108,6 @@ class CodeSpec:
     design_eps: Fraction
     k: int
     frozen: tuple[int, ...]
-    design_ratios: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
     design_floats: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -116,6 +125,14 @@ class CodeSpec:
     @property
     def total_len(self) -> int:
         return self.r * self.n
+
+    @property
+    def design_ratios(self) -> tuple[tuple[int, int], ...]:
+        """The design erasures as reduced ratios (numerator, denominator)."""
+        if not self.design_floats:
+            return ()
+        per = assignment_erasures(self.assignment, self.family).per_subword
+        return tuple(synthetic_erasure_ratios(per, self.m - self.t, self.design_eps))
 
     @property
     def design_erasures(self) -> tuple[Fraction, ...]:
@@ -140,50 +157,6 @@ class CodeSpec:
             "k": self.k,
             "frozen": list(self.frozen),
         }
-
-
-def _polarize(values: list, levels: int, den) -> list:
-    """Inner polarization of numerators over the one denominator ``den``
-    (an int, or the unit :class:`Poly` for erasure polynomials): entry j
-    becomes its synthetic channels at j * 2**levels + i, where the bits of i,
-    most significant first, pick the check map z -> 2z - z**2 (0) or the bit
-    map z -> z**2 (1), as in ``channel_algebra.standard_synthetic_channel``.
-
-    With z = n/d the maps give n(2d - n)/d**2 and n**2/d**2, so every result
-    lies over den**(2**levels).  If n/d is in lowest terms, so are both
-    results: each prime of d divides 2d, so it divides neither n nor 2d - n.
-    """
-    for _ in range(levels):
-        twice = den + den
-        nxt = []
-        for z in values:
-            sq = z * z
-            nxt.append(z * twice - sq)
-            nxt.append(sq)
-        values = nxt
-        den = den * den
-    return values
-
-
-def synthetic_erasure_ratios(
-    per_subword: Sequence[Poly], inner_levels: int, eps: Fraction
-) -> list[tuple[int, int]]:
-    """Design erasure of every u-bit at ``eps`` as a reduced ratio
-    (numerator, denominator): each sub-channel's value, inner polarized
-    exactly.  The bits of one sub-codeword share one denominator."""
-    ratios = []
-    for z in per_subword:
-        value = z.evaluate(eps)
-        den = value.denominator ** (1 << inner_levels)
-        ratios += [(n, den) for n in _polarize([value.numerator], inner_levels, value.denominator)]
-    return ratios
-
-
-def synthetic_erasure_values(
-    per_subword: Sequence[Poly], inner_levels: int, eps: Fraction
-) -> list[Fraction]:
-    """Design erasure of every u-bit at ``eps``, as exact fractions."""
-    return [Fraction(n, d) for n, d in synthetic_erasure_ratios(per_subword, inner_levels, eps)]
 
 
 def synthetic_polynomials(spec: CodeSpec) -> list[Poly]:
@@ -215,15 +188,15 @@ def design_code(
 ) -> CodeSpec:
     """Choose the frozen set for a code of 2**m u-bits and k info bits.
 
-    All 2**m synthetic erasures are evaluated exactly at the design point
-    and the worst 2**m - k are frozen; at equal erasure the larger index is
-    frozen first, so constructions are deterministic.  The ranking sorts the
-    correctly rounded floats n / d: rounding is monotone, so floats that
-    differ are already in exact order, and only the run of floats equal to
-    the one at the cut is re-sorted, on integer keys over the least common
-    denominator of that run.  The ratios are kept on the spec as
-    ``design_ratios`` and their floats as ``design_floats``.  m is at most
-    ``MAX_DESIGN_M``.
+    The 2**m synthetic erasures are ranked at the design point and the
+    worst 2**m - k are frozen; at equal erasure the larger index is frozen
+    first, so constructions are deterministic.  The ranking is exact but
+    sorts the correctly rounded floats (``synthetic_erasure_floats``):
+    rounding is monotone, so floats that differ are already in exact order.
+    Only the run of floats equal to the one at the cut is re-sorted, by the
+    directed-rounding bounds where they are disjoint and by exact ratios
+    where they overlap.  The floats are kept on the spec as
+    ``design_floats``.  m is at most ``MAX_DESIGN_M``.
     """
     _check_shape(m, t, assignment, family)
     if not 0 <= k <= (1 << m):
@@ -232,8 +205,7 @@ def design_code(
     if not 0 <= design_eps <= 1:
         raise ValueError(f"design erasure must lie in [0, 1], got {design_eps}")
     per = assignment_erasures(assignment, family).per_subword
-    ratios = synthetic_erasure_ratios(per, m - t, design_eps)
-    floats = [n / d for n, d in ratios]
+    floats = synthetic_erasure_floats(per, m - t, design_eps)
     size = 1 << m
     cut = size - k
     frozen: tuple[int, ...] = tuple(range(cut))
@@ -241,12 +213,10 @@ def design_code(
         # A stable sort keeps the input order among equal keys: larger index first.
         order = sorted(reversed(range(size)), key=floats.__getitem__, reverse=True)
         # Floats that differ are in exact order; only the tie run at the cut
-        # is re-sorted, on exact keys and again stably.
+        # is re-ranked, exactly.
         tied = floats[order[cut]]
         lo = sum(x > tied for x in floats)
-        run = order[lo : lo + floats.count(tied)]
-        common = math.lcm(*{ratios[i][1] for i in run})
-        run.sort(key=lambda i: ratios[i][0] * (common // ratios[i][1]), reverse=True)
+        run = _rank_ties(order[lo : lo + floats.count(tied)], per, m - t, design_eps)
         frozen = tuple(sorted(order[:lo] + run[: cut - lo]))
     return CodeSpec(
         m=m,
@@ -256,7 +226,6 @@ def design_code(
         design_eps=design_eps,
         k=k,
         frozen=frozen,
-        design_ratios=tuple(ratios),
         design_floats=tuple(floats),
     )
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -416,7 +417,7 @@ def test_simulate_oracle_size_checked_before_design(monkeypatch, capsys):
     def evaluated(*args):
         raise AssertionError("design erasures evaluated before the oracle bound check")
 
-    monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+    monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
     code = main(["simulate", "--oracle", "--family", "irr4", "--m", "14", "--assign", "2,5,7,7"])
     captured = capsys.readouterr()
     assert code == 1
@@ -429,13 +430,30 @@ def test_simulate_size_checked_before_design(monkeypatch, capsys):
     def evaluated(*args):
         raise AssertionError("design erasures evaluated before the size check")
 
-    monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+    monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
     code = main(["simulate", "--family", "irr4", "--m", "16", "--assign", "2,5,7,7"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "exceeds the exact design bound" in json.loads(captured.err)["reason"]
+
+
+def test_simulate_size_checked_before_allocating(capsys):
+    # The default k is (1 << m) // 2: a 300,000,000-bit m must be refused first.
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--family", "irr4", "--m", "300000000", "--assign", "2,5,7,7"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["reason"] == (
+        "m=300000000 exceeds the exact design bound MAX_DESIGN_M=15"
+    )
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -478,7 +496,7 @@ def test_simulate_run_size_checked_before_design(monkeypatch, capsys, flags, rea
     def evaluated(*args):
         raise AssertionError("design erasures evaluated before the run's inputs were checked")
 
-    monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+    monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
     code = main(["simulate", "--family", "irr4", "--m", "13", "--assign", "2,5,7,7", *flags])
     captured = capsys.readouterr()
     assert code == 1

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from polarrep import codec
+from polarrep import codec, polarize
 from polarrep.channel_algebra import standard_synthetic_channel
 from polarrep.codec import (
     CodeSpec,
@@ -22,6 +22,7 @@ from polarrep.codec import (
     monte_carlo,
     oracle_spec,
     sc_decode,
+    synthetic_erasure_floats,
     synthetic_erasure_ratios,
     synthetic_erasure_values,
     synthetic_polynomials,
@@ -52,6 +53,12 @@ GOLDEN_FROZEN = [
      "69ae7e8622936f625add85198da88f783941f3ee13e9d1562e5790fed6400ef1"),
     ("irr4", [2, 5, 7, 7], 14, F(1, 2),
      "46921b77527fbe79aac22da426d5e4e28c8825d7e8d2d64c7ebd4a7010eb5a67"),
+    ("irr4", [2, 5, 7, 7], 14, F(1, 3),
+     "939904bfa854bd962e2967c4e3fa0340ac32f3c93ba3b9897464e34e33b9b4f3"),
+    ("irr4", [2, 5, 7, 7], 15, F(1, 2),
+     "fc4a4262991a6d67d94cfedd5e965b77ff27d63119f83f5c32f326fbf7fababf"),
+    ("irr4", [2, 5, 7, 7], 15, F(1, 3),
+     "8ea3dc5a6fcc5826374683034f96160a364bb9f137492b6b6c8cc8d4f8433428"),
 ]
 
 #: Code shapes of the golden decode corpus, each at three partial frozen sets.
@@ -119,7 +126,7 @@ class TestDesignCode:
         def evaluated(*args):
             raise Reached
 
-        monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+        monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
         irr4 = family_by_name("irr4")
         assignment = PatternAssignment([2, 5, 7, 7])
         with pytest.raises(Reached):
@@ -131,7 +138,7 @@ class TestDesignCode:
         def evaluated(*args):
             raise AssertionError("design erasures evaluated for an all-unfrozen spec")
 
-        monkeypatch.setattr(codec, "synthetic_erasure_ratios", evaluated)
+        monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
         irr4 = family_by_name("irr4")
         assignment = PatternAssignment([2, 5, 7, 7])
         spec = oracle_spec(irr4, assignment, codec.MAX_DESIGN_M, 2)
@@ -206,6 +213,64 @@ class TestDesignCode:
                     worst = sorted(range(n), key=lambda i: (values[i], i), reverse=True)
                     spec = design_code(m, t, assignment, eps, k, family)
                     assert spec.frozen == tuple(sorted(worst[: n - k]))
+
+    @pytest.mark.parametrize("exact_bits", [0, polarize.EXACT_BITS])
+    @pytest.mark.parametrize(
+        "name, stride, m", [("reg2", 1, 8), ("reg4", 1, 6), ("irr4", 23, 7), ("reg8", 643, 8)]
+    )
+    def test_floats_are_the_rounded_ratios(self, monkeypatch, name, stride, m, exact_bits):
+        # With no exact bits every float comes from the bounds.
+        monkeypatch.setattr(polarize, "EXACT_BITS", exact_bits)
+        family = family_by_name(name)
+        t = family.size.bit_length() - 1
+        for assignment in enumerate_assignments(family, family.size)[::stride]:
+            per = assignment_erasures(assignment, family).per_subword
+            for eps in RATIO_EPS:
+                expected = [n / d for n, d in synthetic_erasure_ratios(per, m - t, eps)]
+                assert synthetic_erasure_floats(per, m - t, eps) == expected
+
+    @pytest.mark.parametrize(
+        "indices, m, eps",
+        [([0, 1], 10, F(1, 20)), ([1, 1], 7, F(1, 2)), ([0, 1], 7, F(9, 10)), ([0, 1], 4, F(0))],
+    )
+    def test_ties_ranked_on_bounds_and_exact_keys(self, monkeypatch, indices, m, eps):
+        """Every bit ranked at once is in exact order, on bounds of 2, 3 and
+        ``BOUND_PREC`` digits.  At m=10 and eps=1/20 two pairs of ratios
+        differ by less than one part in 10**40; at eps=0 all are equal."""
+        per = assignment_erasures(PatternAssignment(indices), REG2).per_subword
+        ratios = synthetic_erasure_ratios(per, m - 1, eps)
+        common = math.lcm(*{d for _, d in ratios})
+        keys = [n * (common // d) for n, d in ratios]
+        worst = sorted(range(1 << m), key=lambda i: (keys[i], i), reverse=True)
+        for prec in (2, 3, polarize.BOUND_PREC):
+            monkeypatch.setattr(polarize, "BOUND_PREC", prec)
+            assert polarize._rank_ties(list(range(1 << m)), per, m - 1, eps) == worst, prec
+
+    def test_exact_fallback(self, monkeypatch):
+        """Two-digit bounds, taken for every sub-codeword, round to
+        different floats at most bits, which are then evaluated exactly, and
+        overlap in the tie runs: floats and frozen sets are unchanged."""
+        cases = [(REG2, A01, 10, F(1, 20), k) for k in (1, 35, 69, 70, 512)]
+        cases += [(family_by_name("irr4"), PatternAssignment([2, 5, 7, 7]), 8, eps, 128)
+                  for eps in RATIO_EPS]
+        cases += [(family_by_name("reg4"), PatternAssignment([0, 3, 3, 3]), 7, F(1, 3), 40)]
+        designed = [design_code(m, f.size.bit_length() - 1, a, eps, k, f)
+                    for f, a, m, eps, k in cases]
+        path, exact = polarize._path_ratio, []
+
+        def counted(*args):
+            exact.append(args)
+            return path(*args)
+
+        monkeypatch.setattr(polarize, "BOUND_PREC", 2)
+        monkeypatch.setattr(polarize, "EXACT_BITS", 0)
+        monkeypatch.setattr(polarize, "_path_ratio", counted)
+        for (f, a, m, eps, k), spec in zip(cases, designed):
+            exact.clear()
+            again = design_code(m, f.size.bit_length() - 1, a, eps, k, f)
+            assert (again.frozen, again.design_floats) == (spec.frozen, spec.design_floats)
+            if 0 < eps < 1:
+                assert len(exact) > spec.n // 2
 
     def test_float_ties_ranked_exactly(self):
         """reg2 {0,1} at m=10 and eps=1/20: 69 design erasures round to 0.0
