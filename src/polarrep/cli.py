@@ -32,16 +32,12 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .effective_channels import (
-    assignment_erasures,
-    coded_repetition_scheme,
-    reference_expression_set,
-)
-from .patterns import PatternAssignment, family_by_name, kernel_ref, regular_family
-from .poly import EPS, Poly
-from .proofcheck import MAX_GAIN_T, certify_difference, certify_gain, check_gain_level
-from .search import DEFAULT_GRID, best_assignment
+from . import DEFAULT_GRID, MAX_GAIN_T
+
+if TYPE_CHECKING:
+    from .poly import Poly
 
 
 class _ZeroDenominator(Exception):
@@ -101,9 +97,13 @@ def _grid(args) -> tuple[Fraction, ...]:
         return DEFAULT_GRID
     if not args.grid:
         raise ValueError("--grid lists no points")
+    seen = set()
     for g in args.grid:
         if not 0 < g < 1:
             raise ValueError(f"grid point {g} outside (0, 1)")
+        if g in seen:
+            raise ValueError(f"grid point {g} repeated")
+        seen.add(g)
     return tuple(args.grid)
 
 
@@ -127,6 +127,7 @@ def _eval_table(polys: dict[str, Poly], grid) -> list[dict]:
 
 
 # -- subcommands -------------------------------------------------------------
+# Each command imports the modules it runs, so a run loads only those.
 
 def _require(args, *names) -> None:
     for name in names:
@@ -135,6 +136,9 @@ def _require(args, *names) -> None:
 
 
 def cmd_analyze(args) -> tuple[dict | list, int]:
+    from .effective_channels import assignment_erasures
+    from .patterns import PatternAssignment, family_by_name
+
     _require(args, "family", "assign")
     family = family_by_name(args.family)
     assignment = PatternAssignment(args.assign)
@@ -155,6 +159,9 @@ def cmd_analyze(args) -> tuple[dict | list, int]:
 
 
 def cmd_search(args) -> tuple[dict | list, int]:
+    from .patterns import family_by_name
+    from .search import best_assignment
+
     _require(args, "family")
     family = family_by_name(args.family)
     report = best_assignment(family, grid=_grid(args), certify=not args.no_certify)
@@ -164,6 +171,9 @@ def cmd_search(args) -> tuple[dict | list, int]:
 
 
 def cmd_prove(args) -> tuple[dict | list, int]:
+    from .poly import EPS, Poly
+    from .proofcheck import certify_difference, certify_gain, check_gain_level
+
     if args.t == []:
         raise ValueError("--t lists no level counts")
     if args.custom == []:
@@ -209,6 +219,8 @@ def cmd_prove(args) -> tuple[dict | list, int]:
 
 
 def cmd_kernels(args) -> tuple[dict | list, int]:
+    from .patterns import kernel_ref
+
     _require(args, "refs")
     if not args.refs:
         raise ValueError("--refs lists no kernels")
@@ -232,6 +244,8 @@ def cmd_kernels(args) -> tuple[dict | list, int]:
 
 
 def cmd_curves(args) -> tuple[dict | list, int]:
+    from .effective_channels import coded_repetition_scheme, reference_expression_set
+
     grid = _grid(args)
     r_values = [2, 4, 8] if args.r is None else args.r
     if not r_values:
@@ -266,6 +280,8 @@ def cmd_curves(args) -> tuple[dict | list, int]:
 
 
 def _simulate_family(args):
+    from .patterns import family_by_name, regular_family
+
     if args.family and args.r is not None:
         raise ValueError("pass --family or --r, not both")
     if args.family:
@@ -276,7 +292,9 @@ def _simulate_family(args):
 
 
 def cmd_simulate(args) -> tuple[dict | list, int]:
-    from . import codec  # loaded on first use, so no other command imports it
+    from . import codec
+    from .effective_channels import assignment_erasures
+    from .patterns import PatternAssignment
 
     _require(args, "m", "assign")
     # Refuse what the run would ignore, before any design work.
@@ -339,7 +357,8 @@ def cmd_simulate(args) -> tuple[dict | list, int]:
 def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
     if grid:
         sub.add_argument("--grid", type=_comma_list(_fraction), default=None,
-                         help="comma-separated erasure grid (default 1/20..19/20)")
+                         help="comma-separated erasure grid "
+                              f"(default {DEFAULT_GRID[0]}..{DEFAULT_GRID[-1]})")
     sub.add_argument("--out", default=None, help="write output to this path")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--reproducible", action="store_true",

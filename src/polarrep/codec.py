@@ -38,12 +38,11 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .effective_channels import _kernel_groups, assignment_erasures
-from .patterns import LEAF, Kernel, PatternAssignment, PatternFamily, apply_kernel
+from .patterns import LEAF, Kernel, PatternAssignment, PatternFamily, _Record, apply_kernel
 from .polarize import (  # all three design erasure forms are read from codec
     _polarize,
     _rank_ties,
@@ -87,8 +86,7 @@ class DecodeFailure(Exception):
         self.bit_index = bit_index
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(_Record):
     """One concrete code instance.
 
     ``frozen`` is the sorted tuple of frozen u-bit indices; the remaining
@@ -96,19 +94,21 @@ class CodeSpec:
     i of sub-codeword j, which is also the successive-cancellation decode
     order.  ``design_floats`` holds the correctly rounded erasures at
     ``design_eps`` that chose the frozen set; derived, they stay out of
-    equality and output.  ``design_ratios`` (reduced integer ratios) and
-    ``design_erasures`` (fractions) evaluate the same erasures exactly on
-    demand, and are empty for a spec with no design.
+    equality, hashing, repr and output, which is why the spec is a
+    ``_Record`` and not a NamedTuple.  ``design_ratios`` (reduced integer
+    ratios) and ``design_erasures`` (fractions) evaluate the same erasures
+    exactly on demand, and are empty for a spec with no design.
     """
 
-    m: int
-    t: int
-    family: PatternFamily
-    assignment: PatternAssignment
-    design_eps: Fraction
-    k: int
-    frozen: tuple[int, ...]
-    design_floats: tuple[float, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("m", "t", "family", "assignment", "design_eps", "k", "frozen", "design_floats")
+
+    def __init__(self, m: int, t: int, family: PatternFamily, assignment: PatternAssignment,
+                 design_eps: Fraction, k: int, frozen: tuple[int, ...],
+                 design_floats: tuple[float, ...] = ()) -> None:
+        super().__init__(m, t, family, assignment, design_eps, k, frozen, design_floats)
+
+    def _key(self) -> tuple:
+        return self.m, self.t, self.family, self.assignment, self.design_eps, self.k, self.frozen
 
     @property
     def r(self) -> int:
@@ -218,16 +218,7 @@ def design_code(
         lo = sum(x > tied for x in floats)
         run = _rank_ties(order[lo : lo + floats.count(tied)], per, m - t, design_eps)
         frozen = tuple(sorted(order[:lo] + run[: cut - lo]))
-    return CodeSpec(
-        m=m,
-        t=t,
-        family=family,
-        assignment=assignment,
-        design_eps=design_eps,
-        k=k,
-        frozen=frozen,
-        design_floats=tuple(floats),
-    )
+    return CodeSpec(m, t, family, assignment, design_eps, k, frozen, tuple(floats))
 
 
 # -- encoding ---------------------------------------------------------------
@@ -503,8 +494,7 @@ def oracle_spec(
 
 # -- Monte Carlo -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """Empirical genie-aided erasure rates from simulated transmissions."""
 
     spec: CodeSpec
@@ -633,22 +623,14 @@ def monte_carlo(
         if info:
             block_fail += functools.reduce(operator.or_, [flags[i] for i in info]).bit_count()
         done += batch
-    return SimReport(
-        spec=spec,
-        eps=eps,
-        trials=trials,
-        seed=seed,
-        per_bit_rates=tuple(v / trials for v in bit_fail),
-        block_error_rate=block_fail / trials,
-        operations=ops_each * trials,
-        operations_per_decode=ops_each,
-    )
+    return SimReport(spec, eps, trials, seed, per_bit_rates=tuple(v / trials for v in bit_fail),
+                     block_error_rate=block_fail / trials, operations=ops_each * trials,
+                     operations_per_decode=ops_each)
 
 
 # -- oracle vs analysis comparison -------------------------------------------
 
-@dataclass(frozen=True)
-class OracleComparison:
+class OracleComparison(NamedTuple):
     """Coefficient-level comparison of oracle and analysis channel sets."""
 
     label: str
@@ -697,11 +679,5 @@ def compare_oracle_with_analysis(
     oracle = exact_erasure_oracle(spec)
     composed = _polarize(list(analysis), m - t, Poly.one())
     mism = tuple(i for i in range(1 << m) if oracle[i] != composed[i])
-    return OracleComparison(
-        label=label or f"{family.kind}:{assignment.label()} m={m}",
-        m=m,
-        total_len=spec.total_len,
-        oracle_polys=tuple(oracle),
-        analysis_polys=tuple(composed),
-        mismatched_bits=mism,
-    )
+    return OracleComparison(label or f"{family.kind}:{assignment.label()} m={m}", m,
+                            spec.total_len, tuple(oracle), tuple(composed), mism)

@@ -33,18 +33,16 @@ weight for four.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .channel_algebra import bit_combine, check_combine, repeat_channel
 from .patterns import Kernel, PatternAssignment, PatternFamily
 from .poly import EPS, ONE, Poly
 
 
-@dataclass(frozen=True)
-class EffectiveChannelSet:
+class EffectiveChannelSet(NamedTuple):
     """Per-sub-codeword erasure polynomials and the scheme's capacity.
 
     ``capacity_poly`` is the achievable rate per channel use per
@@ -74,9 +72,7 @@ def _make_set(per_subword: tuple[Poly, ...]) -> EffectiveChannelSet:
     total = Poly.const(r)
     for z in per_subword:
         total = total - z
-    return EffectiveChannelSet(
-        r=r, per_subword=per_subword, capacity_poly=total.scale(Fraction(1, r * r))
-    )
+    return EffectiveChannelSet(r, per_subword, total.scale(Fraction(1, r * r)))
 
 
 # -- regular-pattern design recursion ---------------------------------------

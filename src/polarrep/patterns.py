@@ -21,7 +21,6 @@ Two families are provided:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -62,12 +61,48 @@ G2 = Kernel(1, LEAF, LEAF)
 I2 = Kernel(0, LEAF, LEAF)
 
 
-@dataclass(frozen=True)
-class PatternFamily:
-    """An indexed set of same-size kernels that blocks can be assigned from."""
+class _Record:
+    """An immutable record that tuple ``len``, indexing or equality would
+    change, so not a NamedTuple.  Its fields are its ``__slots__``, set once
+    in order; equality, hashing and repr read ``_key()``, all the fields
+    unless a subclass leaves some out."""
 
-    kind: str
-    members: tuple[Kernel, ...]
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+class PatternFamily(_Record):
+    """An indexed set of same-size kernels that blocks can be assigned from.
+    ``len()`` and indexing run over the members."""
+
+    __slots__ = ("kind", "members")
+
+    def __init__(self, kind: str, members: tuple[Kernel, ...]) -> None:
+        super().__init__(kind, members)
 
     @property
     def size(self) -> int:
@@ -147,18 +182,17 @@ def kernel_ref(ref: str) -> tuple[PatternFamily, int, Kernel]:
     return family, index, family[index]
 
 
-@dataclass(frozen=True)
-class PatternAssignment:
+class PatternAssignment(_Record):
     """A multiset of family indices, one kernel per repetition block.
 
     Block order over an i.i.d. channel cannot matter, so assignments are
     stored canonically sorted.
     """
 
-    indices: tuple[int, ...]
+    __slots__ = ("indices",)
 
-    def __init__(self, indices: Iterable[int]):
-        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in indices)))
+    def __init__(self, indices: Iterable[int]) -> None:
+        super().__init__(tuple(sorted(int(i) for i in indices)))
 
     @property
     def r(self) -> int:

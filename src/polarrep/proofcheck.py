@@ -18,14 +18,11 @@ witness, and take the same two steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
+from . import MAX_GAIN_T  # defined by the package, which the command line reads
 from .poly import EPS, Poly, SturmSequence, budan_variations, count_roots_in
-
-#: Largest level count ``certify_gain`` accepts.  Every t = 1..7 is certified
-#: by Budan's test with zero variations; t = 8 (degree 6,561) is unmeasured.
-MAX_GAIN_T = 7
 
 #: The level maps of one polarizing step: sub-codeword k's erasure is their
 #: composition along the bits of k (``regular_block_erasures(0, t)``).
@@ -33,8 +30,7 @@ _F0 = EPS + EPS**2 - EPS**3
 _F1 = EPS**2
 
 
-@dataclass(frozen=True)
-class GainCertificate:
+class GainCertificate(NamedTuple):
     """Certificate that the coded-repetition scheme strictly beats plain
     repetition for r = 2**t blocks on the whole open unit interval.
 
@@ -108,17 +104,8 @@ def certify_difference(
         if endpoints == (0, 0) and roots == 0 and value < 0
         else "refuted"
     )
-    return GainCertificate(
-        r=r,
-        difference_poly=difference,
-        endpoint_values=endpoints,
-        interior_sample=(sample, value),
-        roots_in_open_unit=roots,
-        verdict=verdict,
-        method=method,
-        budan_variations=variations,
-        sturm_chain=chain,
-    )
+    return GainCertificate(r, difference, endpoints, (sample, value), roots, verdict, method,
+                           variations, chain)
 
 
 def check_gain_level(t: int) -> None:

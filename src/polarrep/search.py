@@ -19,11 +19,12 @@ the winner and for the candidates such a certificate checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm, prod
+from typing import NamedTuple
 
+from . import DEFAULT_GRID  # defined by the package, which the command line reads
 from .effective_channels import (
     EffectiveChannelSet,
     _design_factor,
@@ -37,12 +38,8 @@ from .proofcheck import certify_dominance
 #: (300,540,195) would not fit in memory.
 MAX_CANDIDATES = 100_000
 
-#: Uniform rational grid 1/20 .. 19/20 used when the caller does not choose.
-DEFAULT_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 20) for i in range(1, 20))
 
-
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     family_kind: str
     r: int
     grid: tuple[Fraction, ...]
@@ -50,7 +47,7 @@ class SearchReport:
     ranking: tuple[tuple[PatternAssignment, tuple[Fraction, ...]], ...]
     best: PatternAssignment
     best_channels: EffectiveChannelSet
-    dominance_certified: bool = field(default=False)
+    dominance_certified: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,9 +145,13 @@ def best_assignment(
     r = family.size
     if not grid:
         raise ValueError("grid must be nonempty")
+    seen = set()
     for g in grid:
         if not 0 < g < 1:
             raise ValueError(f"grid point {g} outside (0, 1)")
+        if g in seen:  # a repeated point would count its wins twice
+            raise ValueError(f"grid point {g} repeated")
+        seen.add(g)
 
     candidates = enumerate_assignments(family, r)
     assert len(candidates) == comb(len(family) + r - 1, r)
@@ -187,13 +188,5 @@ def best_assignment(
         (candidates[i], tuple(Fraction(c, d) for c, d in zip(numerators[i], denominators)))
         for i in order
     )
-    return SearchReport(
-        family_kind=family.kind,
-        r=r,
-        grid=tuple(grid),
-        candidates_evaluated=len(candidates),
-        ranking=ranking,
-        best=best,
-        best_channels=best_channels,
-        dominance_certified=certified,
-    )
+    return SearchReport(family.kind, r, tuple(grid), len(candidates), ranking, best,
+                        best_channels, certified)

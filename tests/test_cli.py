@@ -294,6 +294,10 @@ def test_config_grid_ignored_by_simulate(tmp_path, capsys):
                      id="custom-zero-denominator"),
         pytest.param(["search", "--family", "reg2", "--grid", ","], "--grid lists no points",
                      id="search-empty-grid"),
+        pytest.param(["search", "--family", "reg4", "--grid", "1/20,1/20,1/20,1/20,19/20",
+                      "--no-certify"], "grid point 1/20 repeated", id="search-repeated-grid"),
+        pytest.param(["analyze", "--family", "reg2", "--assign", "0,1", "--grid", "0.5,1/3,1/2"],
+                     "grid point 1/2 repeated", id="analyze-repeated-grid"),
         pytest.param(["analyze", "--family", "reg2", "--assign", "0,1", "--grid", ","],
                      "--grid lists no points", id="analyze-empty-grid"),
         pytest.param(["curves", "--r", ","], "--r lists no repetition counts", id="curves-empty-r"),
@@ -633,6 +637,45 @@ def test_non_codec_commands_leave_numpy_unloaded():
                           env=_child_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "True\n"
+
+
+LOADED = """
+import contextlib, io, sys
+before = set(sys.modules)
+from polarrep.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:] + ["--reproducible"])
+loaded = set(sys.modules) - before
+print(code, sorted(m for m in loaded if m.startswith("polarrep.")),
+      sorted(loaded & {"dataclasses", "inspect", "numpy"}))
+"""
+
+_ANALYSIS = ["channel_algebra", "effective_channels", "patterns", "poly"]
+_CODEC = sorted(["codec", "polarize", *_ANALYSIS])
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["kernels", "--refs", "reg2:0"], ["patterns"]),
+        (["prove", "--t", "1,2"], ["poly", "proofcheck"]),
+        (["curves", "--r", "2,4"], _ANALYSIS),
+        (["analyze", "--family", "irr4", "--assign", "2,5,7,7"], _ANALYSIS),
+        (["search", "--family", "reg2"], sorted(["proofcheck", "search", *_ANALYSIS])),
+        (["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "64"], _CODEC),
+        (["simulate", "--oracle", "--family", "irr4", "--m", "2", "--assign", "2,5,7,7"], _CODEC),
+    ],
+    ids=["kernels", "prove", "curves", "analyze", "search", "simulate", "oracle"],
+)
+def test_command_loads_only_its_modules(argv, modules):
+    """Each command, in a fresh interpreter, loads the package, the command
+    line and the modules it runs, and neither ``dataclasses``, ``inspect``
+    nor numpy."""
+    done = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    expected = sorted(f"polarrep.{m}" for m in ["cli", *modules])
+    assert done.stdout == f"0 {expected} []\n"
 
 
 def test_simulate_stdout_independent_of_hash_seed():

@@ -114,6 +114,17 @@ def test_grid_validation():
         best_assignment(fam, grid=(F(0), F(1, 2)))
 
 
+@pytest.mark.parametrize("grid", [(F(1, 20),) * 4 + (F(19, 20),), (F(1, 2), F(1, 3), 0.5)])
+def test_repeated_grid_point_refused(grid):
+    """A repeated point would count its wins twice: reg4 over 1/20 four
+    times and 19/20 would pick {1,2,3,3}, which over the two points alone
+    loses to {0,3,3,3}."""
+    with pytest.raises(ValueError, match="repeated"):
+        best_assignment(family_by_name("reg4"), grid=grid, certify=False)
+    assert best_assignment(family_by_name("reg4"), grid=(F(1, 20), F(19, 20)),
+                           certify=False).best == PatternAssignment([0, 3, 3, 3])
+
+
 def test_report_serialization():
     report = best_assignment(family_by_name("reg2"))
     d = report.to_json_dict()
