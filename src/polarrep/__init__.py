@@ -24,6 +24,19 @@ MAX_GAIN_T = 7
 #: Uniform rational grid 1/20 .. 19/20 used when the caller does not choose.
 DEFAULT_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 20) for i in range(1, 20))
 
+
+def _check_grid(grid) -> None:
+    """Refuse an erasure grid with a point outside (0, 1) or a repeated
+    point, which would count its wins twice."""
+    seen = set()
+    for g in grid:
+        if not 0 < g < 1:
+            raise ValueError(f"grid point {g} outside (0, 1)")
+        if g in seen:
+            raise ValueError(f"grid point {g} repeated")
+        seen.add(g)
+
+
 #: Each public name's module.
 _EXPORTS = {
     name: module

@@ -34,7 +34,7 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_GRID, MAX_GAIN_T
+from . import DEFAULT_GRID, MAX_GAIN_T, _check_grid
 
 if TYPE_CHECKING:
     from .poly import Poly
@@ -97,13 +97,7 @@ def _grid(args) -> tuple[Fraction, ...]:
         return DEFAULT_GRID
     if not args.grid:
         raise ValueError("--grid lists no points")
-    seen = set()
-    for g in args.grid:
-        if not 0 < g < 1:
-            raise ValueError(f"grid point {g} outside (0, 1)")
-        if g in seen:
-            raise ValueError(f"grid point {g} repeated")
-        seen.add(g)
+    _check_grid(args.grid)
     return tuple(args.grid)
 
 

@@ -45,7 +45,7 @@ from .effective_channels import _kernel_groups, assignment_erasures
 from .patterns import LEAF, Kernel, PatternAssignment, PatternFamily, _Record, apply_kernel
 from .polarize import (  # all three design erasure forms are read from codec
     _polarize,
-    _rank_ties,
+    design_ranking,
     synthetic_erasure_floats,
     synthetic_erasure_ratios,
     synthetic_erasure_values,
@@ -61,11 +61,11 @@ if TYPE_CHECKING:
 ORACLE_MAX_BITS = 16
 
 #: Largest m of any spec, designed or not.  The design ranks on certified
-#: floats, but exact design ratios (``synthetic_erasure_ratios``, behind
-#: ``simulate --exact`` and ``CodeSpec.design_ratios``), ``synthetic_polynomials``
-#: and the exact fallback of the ranking still double their numerators' bits
-#: per inner level: all 2**15 exact ratios take about 12 s and 300 MB at
-#: eps = 1/2 (35 s and 460 MB at eps = 1/3).
+#: bounds, but exact design ratios (``synthetic_erasure_ratios``, behind
+#: ``simulate --exact``), ``synthetic_polynomials`` and the exact keys of the
+#: ranking still double their numerators' bits per inner level: all 2**15
+#: exact ratios take about 12 s and 300 MB at eps = 1/2 (35 s and 460 MB at
+#: eps = 1/3).
 MAX_DESIGN_M = 15
 
 #: A Monte Carlo flow batch holds up to 64 times this many pattern-symbols
@@ -95,9 +95,8 @@ class CodeSpec(_Record):
     order.  ``design_floats`` holds the correctly rounded erasures at
     ``design_eps`` that chose the frozen set; derived, they stay out of
     equality, hashing, repr and output, which is why the spec is a
-    ``_Record`` and not a NamedTuple.  ``design_ratios`` (reduced integer
-    ratios) and ``design_erasures`` (fractions) evaluate the same erasures
-    exactly on demand, and are empty for a spec with no design.
+    ``_Record`` and not a NamedTuple.  A spec with no design (``oracle_spec``)
+    has no floats; ``synthetic_erasure_ratios`` evaluates the erasures exactly.
     """
 
     __slots__ = ("m", "t", "family", "assignment", "design_eps", "k", "frozen", "design_floats")
@@ -125,19 +124,6 @@ class CodeSpec(_Record):
     @property
     def total_len(self) -> int:
         return self.r * self.n
-
-    @property
-    def design_ratios(self) -> tuple[tuple[int, int], ...]:
-        """The design erasures as reduced ratios (numerator, denominator)."""
-        if not self.design_floats:
-            return ()
-        per = assignment_erasures(self.assignment, self.family).per_subword
-        return tuple(synthetic_erasure_ratios(per, self.m - self.t, self.design_eps))
-
-    @property
-    def design_erasures(self) -> tuple[Fraction, ...]:
-        """The design erasures as exact fractions."""
-        return tuple(Fraction(n, d) for n, d in self.design_ratios)
 
     @property
     def info_positions(self) -> tuple[int, ...]:
@@ -190,13 +176,10 @@ def design_code(
 
     The 2**m synthetic erasures are ranked at the design point and the
     worst 2**m - k are frozen; at equal erasure the larger index is frozen
-    first, so constructions are deterministic.  The ranking is exact but
-    sorts the correctly rounded floats (``synthetic_erasure_floats``):
-    rounding is monotone, so floats that differ are already in exact order.
-    Only the run of floats equal to the one at the cut is re-sorted, by the
-    directed-rounding bounds where they are disjoint and by exact ratios
-    where they overlap.  The floats are kept on the spec as
-    ``design_floats``.  m is at most ``MAX_DESIGN_M``.
+    first, so constructions are deterministic.  The ranking is exact
+    (``polarize.design_ranking``), and the correctly rounded floats it
+    returns are kept on the spec as ``design_floats``.  m is at most
+    ``MAX_DESIGN_M``.
     """
     _check_shape(m, t, assignment, family)
     if not 0 <= k <= (1 << m):
@@ -205,19 +188,7 @@ def design_code(
     if not 0 <= design_eps <= 1:
         raise ValueError(f"design erasure must lie in [0, 1], got {design_eps}")
     per = assignment_erasures(assignment, family).per_subword
-    floats = synthetic_erasure_floats(per, m - t, design_eps)
-    size = 1 << m
-    cut = size - k
-    frozen: tuple[int, ...] = tuple(range(cut))
-    if 0 < cut < size:
-        # A stable sort keeps the input order among equal keys: larger index first.
-        order = sorted(reversed(range(size)), key=floats.__getitem__, reverse=True)
-        # Floats that differ are in exact order; only the tie run at the cut
-        # is re-ranked, exactly.
-        tied = floats[order[cut]]
-        lo = sum(x > tied for x in floats)
-        run = _rank_ties(order[lo : lo + floats.count(tied)], per, m - t, design_eps)
-        frozen = tuple(sorted(order[:lo] + run[: cut - lo]))
+    floats, frozen = design_ranking(per, m - t, design_eps, (1 << m) - k)
     return CodeSpec(m, t, family, assignment, design_eps, k, frozen, tuple(floats))
 
 

@@ -3,14 +3,14 @@
 Sub-codeword j's channel, with design erasure z, is inner polarized into the
 u-bits j * 2**levels + i (``_polarize``).  The same recursion runs on
 integer numerators over one denominator (the exact reduced ratios behind
-``simulate --exact`` and ``CodeSpec.design_ratios``), on erasure
-polynomials (``codec.synthetic_polynomials``) and on ``Decimal`` lower and
-upper bounds under directed rounding.  The bounds give every u-bit's
-correctly rounded float without the full numerators, whose bits double at
-every level; a bit is evaluated exactly, along its own index path, only
-where its bounds cannot decide.  ``_rank_ties`` orders a run of equal floats
-exactly, by the bounds where they are disjoint and on exact keys where they
-overlap.
+``simulate --exact``), on erasure polynomials
+(``codec.synthetic_polynomials``) and on ``Decimal`` lower and upper bounds
+under directed rounding.  The bounds give every u-bit's correctly rounded
+float without the full numerators, whose bits double at every level; a bit
+is evaluated exactly, along its own index path, only where its bounds round
+to different floats.  ``design_ranking`` picks the design's worst bits from
+the same bounds, ranking exactly only the one cluster of overlapping bounds
+that the cut falls inside.
 """
 
 from __future__ import annotations
@@ -23,14 +23,9 @@ from typing import Sequence
 from .poly import Poly
 
 #: Significant digits of the directed-rounding bounds behind the design
-#: floats; a bit whose two bounds round to different floats is evaluated
-#: exactly.
+#: floats and ranking; a bit whose two bounds round to different floats is
+#: evaluated exactly.
 BOUND_PREC = 40
-
-#: A sub-codeword whose exact design ratios have denominators of at most
-#: this many bits takes its floats from them: up to about there, the int
-#: arithmetic is cheaper than the bounds.
-EXACT_BITS = 3000
 
 
 def _polarize(values: list, levels: int, den) -> list:
@@ -64,14 +59,12 @@ def synthetic_erasure_ratios(
     """Design erasure of every u-bit at ``eps`` as a reduced ratio
     (numerator, denominator): each sub-channel's value, inner polarized
     exactly.  The bits of one sub-codeword share one denominator."""
-    return [ratio for z in per_subword for ratio in _ratios(z.evaluate(eps), inner_levels)]
-
-
-def _ratios(value: Fraction, levels: int) -> list[tuple[int, int]]:
-    """Exact erasures of the inner bits of a sub-channel with erasure
-    ``value``, as reduced ratios over one denominator."""
-    den = value.denominator ** (1 << levels)
-    return [(n, den) for n in _polarize([value.numerator], levels, value.denominator)]
+    ratios = []
+    for z in per_subword:
+        value = z.evaluate(eps)
+        den = value.denominator ** (1 << inner_levels)
+        ratios += [(n, den) for n in _polarize([value.numerator], inner_levels, value.denominator)]
+    return ratios
 
 
 def _path_ratio(value: Fraction, levels: int, i: int) -> tuple[int, int]:
@@ -84,84 +77,77 @@ def _path_ratio(value: Fraction, levels: int, i: int) -> tuple[int, int]:
     return n, d
 
 
-def _bounds(
-    value: Fraction, levels: int, rounding: str, path: int | None = None
-) -> list[decimal.Decimal]:
+def _bounds(value: Fraction, levels: int, rounding: str) -> list[decimal.Decimal]:
     """``_polarize`` of a sub-channel erasure on ``BOUND_PREC``-digit
     ``Decimal``s rounded towards ``rounding`` (floor or ceiling): a lower or
-    an upper bound on the design erasure of each of its inner bits, or with
-    ``path`` only of inner bit ``path``.  The exponent range is the widest,
-    so nothing underflows.  Rounding up can pass 1, where the check map
-    turns down, so every level is capped at 1."""
+    an upper bound on the design erasure of each of its inner bits.  The
+    exponent range is the widest, so nothing underflows.  Rounding up can
+    pass 1, where the check map turns down, so every level is capped at 1."""
     context = decimal.Context(prec=BOUND_PREC, rounding=rounding,
                               Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
     with decimal.localcontext(context):
         one = decimal.Decimal(1)
         out = [decimal.Decimal(value.numerator) / value.denominator]
-        for level in reversed(range(levels)):
+        for _ in range(levels):
             out = [min(z, one) for z in _polarize(out, 1, one)]
-            if path is not None:
-                out = [out[path >> level & 1]]
     return out
-
-
-_ROUNDINGS = (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
 
 
 def synthetic_erasure_floats(
     per_subword: Sequence[Poly], inner_levels: int, eps: Fraction
 ) -> list[float]:
     """Design erasure of every u-bit at ``eps``, correctly rounded to a
-    float.  Short exact ratios (``EXACT_BITS``) are divided.  Otherwise a
-    bit's float is its lower bound's when both ``_bounds`` round to the same
-    float: rounding is monotone, so that is the float of the exact value;
-    if they do not, the bit is evaluated exactly along its own path."""
-    floats = []
-    for z in per_subword:
-        value = z.evaluate(eps)
-        if value.denominator.bit_length() << inner_levels <= EXACT_BITS:
-            floats += [n / d for n, d in _ratios(value, inner_levels)]
-            continue
-        lo, hi = (_bounds(value, inner_levels, r) for r in _ROUNDINGS)
+    float: the floats of ``design_ranking``, with no bit frozen."""
+    return design_ranking(per_subword, inner_levels, eps, 0)[0]
+
+
+def design_ranking(
+    per_subword: Sequence[Poly], inner_levels: int, eps: Fraction, cut: int
+) -> tuple[list[float], tuple[int, ...]]:
+    """Every u-bit's design erasure at ``eps``, correctly rounded to a
+    float, and the sorted indices of the ``cut`` worst bits, with the larger
+    index first at equal erasure, exactly.
+
+    A bit's float is its lower bound's when both ``_bounds`` round to the
+    same float: rounding is monotone, so that is the float of the exact
+    value; if they do not, the bit is evaluated exactly along its own path.
+    For the cut, the bits are sorted on their upper bounds and grouped into
+    clusters of overlapping bounds: a bit whose upper bound lies below the
+    least lower bound of the cluster before it starts a new one, so the
+    clusters are in exact order, and equal erasures share a cluster.  Only
+    the cluster the cut falls inside is ranked on exact integer keys over
+    the least common denominator of its bits."""
+    values = [z.evaluate(eps) for z in per_subword]
+    floats, bounds = [], []
+    for value in values:
+        lo = _bounds(value, inner_levels, decimal.ROUND_FLOOR)
+        hi = _bounds(value, inner_levels, decimal.ROUND_CEILING)
         for i, (a, b) in enumerate(zip(lo, hi)):
             x = float(a)
             if x != float(b):
                 n, d = _path_ratio(value, inner_levels, i)
                 x = n / d
             floats.append(x)
-    return floats
-
-
-def _rank_ties(
-    run: list[int], per_subword: Sequence[Poly], levels: int, eps: Fraction
-) -> list[int]:
-    """The u-bits of ``run`` worst first, and at equal erasure the larger
-    index first, exactly.  Each bit's ``_bounds`` are taken along its own
-    path; bits whose bounds are disjoint are in order by them, and only a
-    cluster of overlapping bounds is sorted on exact integer keys over the
-    least common denominator of that cluster."""
-    if len(run) == 1:
-        return run
-    values = [z.evaluate(eps) for z in per_subword]
-    bounds = {i: [_bounds(values[i >> levels], levels, r, i)[0] for r in _ROUNDINGS] for i in run}
-
-    def exactly(cluster: list[int]) -> list[int]:
-        if len(cluster) == 1:
-            return cluster
-        ratios = {i: _path_ratio(values[i >> levels], levels, i) for i in cluster}
+        bounds += zip(lo, hi)
+    if not 0 < cut < len(floats):
+        return floats, tuple(range(cut))
+    worst, cluster = [], []
+    for i in sorted(range(len(floats)), key=lambda i: bounds[i][1], reverse=True):
+        low, high = bounds[i]
+        if cluster and high < floor:
+            if len(worst) + len(cluster) >= cut:
+                break
+            worst += cluster
+            cluster = []
+        floor = min(floor, low) if cluster else low
+        cluster.append(i)
+    rest = cut - len(worst)
+    if rest < len(cluster):
+        ratios = {i: _path_ratio(values[i >> inner_levels], inner_levels, i) for i in cluster}
         common = math.lcm(*{d for _, d in ratios.values()})
         keys = {i: n * (common // d) for i, (n, d) in ratios.items()}
-        return sorted(cluster, key=lambda i: (keys[i], i), reverse=True)
-
-    ranked, cluster = [], []
-    for i in sorted(run, key=lambda i: bounds[i][1], reverse=True):
-        lo, hi = bounds[i]
-        if cluster and hi < floor:
-            ranked += exactly(cluster)
-            cluster = []
-        floor = min(floor, lo) if cluster else lo
-        cluster.append(i)
-    return ranked + exactly(cluster)
+        cluster.sort(key=lambda i: (keys[i], i), reverse=True)
+    return floats, tuple(sorted(worst + cluster[:rest]))
 
 
 def synthetic_erasure_values(

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from math import comb, lcm, prod
 from typing import NamedTuple
 
-from . import DEFAULT_GRID  # defined by the package, which the command line reads
+from . import DEFAULT_GRID, _check_grid  # defined by the package, which the command line reads
 from .effective_channels import (
     EffectiveChannelSet,
     _design_factor,
@@ -145,13 +145,7 @@ def best_assignment(
     r = family.size
     if not grid:
         raise ValueError("grid must be nonempty")
-    seen = set()
-    for g in grid:
-        if not 0 < g < 1:
-            raise ValueError(f"grid point {g} outside (0, 1)")
-        if g in seen:  # a repeated point would count its wins twice
-            raise ValueError(f"grid point {g} repeated")
-        seen.add(g)
+    _check_grid(grid)
 
     candidates = enumerate_assignments(family, r)
     assert len(candidates) == comb(len(family) + r - 1, r)

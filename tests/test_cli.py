@@ -421,7 +421,7 @@ def test_simulate_oracle_size_checked_before_design(monkeypatch, capsys):
     def evaluated(*args):
         raise AssertionError("design erasures evaluated before the oracle bound check")
 
-    monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
+    monkeypatch.setattr(codec, "design_ranking", evaluated)
     code = main(["simulate", "--oracle", "--family", "irr4", "--m", "14", "--assign", "2,5,7,7"])
     captured = capsys.readouterr()
     assert code == 1
@@ -434,7 +434,7 @@ def test_simulate_size_checked_before_design(monkeypatch, capsys):
     def evaluated(*args):
         raise AssertionError("design erasures evaluated before the size check")
 
-    monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
+    monkeypatch.setattr(codec, "design_ranking", evaluated)
     code = main(["simulate", "--family", "irr4", "--m", "16", "--assign", "2,5,7,7"])
     captured = capsys.readouterr()
     assert code == 1
@@ -500,7 +500,7 @@ def test_simulate_run_size_checked_before_design(monkeypatch, capsys, flags, rea
     def evaluated(*args):
         raise AssertionError("design erasures evaluated before the run's inputs were checked")
 
-    monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
+    monkeypatch.setattr(codec, "design_ranking", evaluated)
     code = main(["simulate", "--family", "irr4", "--m", "13", "--assign", "2,5,7,7", *flags])
     captured = capsys.readouterr()
     assert code == 1
@@ -560,6 +560,30 @@ ANALYZE_CSV = "53f3308e04d4f4aae99645ab8810a9f02590492ea6ead6bee45340aec298d95d"
 def test_csv_document(capsys, argv, code, digest):
     got, out = run(capsys, *argv, "--format", "csv")
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+#: sha256 of ``simulate --reproducible --format csv`` (64 trials), recorded
+#: when the design ranked the runs of equal floats separately: irr4 at m=10
+#: then took its floats from the exact ratios, m=12 and m=15 from the
+#: bounds, and reg2 at k=35 cuts inside the run of 69 floats equal to 0.0.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--family", "irr4", "--assign", "2,5,7,7", "--m", "10", "--eps", "1/2"],
+         "9f13722aab9b69b690d3fb99e4a64f545865de3c196d74caef910843dff360d4"),
+        (["--family", "irr4", "--assign", "2,5,7,7", "--m", "12", "--eps", "1/3"],
+         "3aa4752d6a54ea584db074069386af6648dcc6ab47edfd7bfbd83047ad7c0e39"),
+        (["--family", "irr4", "--assign", "2,5,7,7", "--m", "15", "--eps", "1/2"],
+         "bf6622cef6fab757850e3302ed837978ac65ac5aa091549fe9c520eaf79b82c8"),
+        (["--family", "reg2", "--assign", "0,1", "--m", "10", "--eps", "1/20", "--k", "35"],
+         "c7280d67d3a10d3906a55db97aca6e3460374cc9cc2542612c994f2f78f59d52"),
+    ],
+    ids=["irr4-m10", "irr4-m12", "irr4-m15", "reg2-m10-k35"],
+)
+def test_simulate_design_csv(capsys, argv, digest):
+    code, out = run(capsys, "simulate", *argv, "--trials", "64", "--reproducible",
+                    "--format", "csv")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 def test_csv_out_file(tmp_path, capsys):

@@ -93,7 +93,7 @@ class TestDesignCode:
             assignment_erasures(A01, REG2).per_subword, 0, F(1, 2)
         )
         assert values == [F(5, 16), F(1, 8)]
-        assert spec.design_erasures == tuple(values)
+        assert spec.design_floats == tuple(map(float, values))
 
     def test_keeps_more_reliable_bit(self):
         spec = design_code(1, 1, A01, F(1, 2), 1, REG2)
@@ -126,7 +126,7 @@ class TestDesignCode:
         def evaluated(*args):
             raise Reached
 
-        monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
+        monkeypatch.setattr(codec, "design_ranking", evaluated)
         irr4 = family_by_name("irr4")
         assignment = PatternAssignment([2, 5, 7, 7])
         with pytest.raises(Reached):
@@ -138,11 +138,11 @@ class TestDesignCode:
         def evaluated(*args):
             raise AssertionError("design erasures evaluated for an all-unfrozen spec")
 
-        monkeypatch.setattr(codec, "synthetic_erasure_floats", evaluated)
+        monkeypatch.setattr(codec, "design_ranking", evaluated)
         irr4 = family_by_name("irr4")
         assignment = PatternAssignment([2, 5, 7, 7])
         spec = oracle_spec(irr4, assignment, codec.MAX_DESIGN_M, 2)
-        assert (spec.k, spec.frozen, spec.design_ratios) == (spec.n, (), ())
+        assert (spec.k, spec.frozen, spec.design_floats) == (spec.n, (), ())
         assert spec == CodeSpec(codec.MAX_DESIGN_M, 2, irr4, assignment, F(1, 2), spec.n, ())
 
     @pytest.mark.parametrize(
@@ -193,9 +193,7 @@ class TestDesignCode:
             ratios = synthetic_erasure_ratios(per, m - t, eps)
             assert ratios == [(v.numerator, v.denominator) for v in expected]
             assert all(math.gcd(n, d) == 1 for n, d in ratios)
-            spec = design_code(m, t, assignment, eps, 1 << (m - 1), family)
-            assert spec.design_ratios == tuple(ratios)
-            assert spec.design_erasures == tuple(expected)
+            assert synthetic_erasure_values(per, m - t, eps) == expected
 
     @pytest.mark.parametrize(
         "name, stride", [("reg2", 1), ("reg4", 1), ("irr4", 23)]
@@ -214,13 +212,10 @@ class TestDesignCode:
                     spec = design_code(m, t, assignment, eps, k, family)
                     assert spec.frozen == tuple(sorted(worst[: n - k]))
 
-    @pytest.mark.parametrize("exact_bits", [0, polarize.EXACT_BITS])
     @pytest.mark.parametrize(
         "name, stride, m", [("reg2", 1, 8), ("reg4", 1, 6), ("irr4", 23, 7), ("reg8", 643, 8)]
     )
-    def test_floats_are_the_rounded_ratios(self, monkeypatch, name, stride, m, exact_bits):
-        # With no exact bits every float comes from the bounds.
-        monkeypatch.setattr(polarize, "EXACT_BITS", exact_bits)
+    def test_floats_are_the_rounded_ratios(self, name, stride, m):
         family = family_by_name(name)
         t = family.size.bit_length() - 1
         for assignment in enumerate_assignments(family, family.size)[::stride]:
@@ -234,22 +229,26 @@ class TestDesignCode:
         [([0, 1], 10, F(1, 20)), ([1, 1], 7, F(1, 2)), ([0, 1], 7, F(9, 10)), ([0, 1], 4, F(0))],
     )
     def test_ties_ranked_on_bounds_and_exact_keys(self, monkeypatch, indices, m, eps):
-        """Every bit ranked at once is in exact order, on bounds of 2, 3 and
-        ``BOUND_PREC`` digits.  At m=10 and eps=1/20 two pairs of ratios
-        differ by less than one part in 10**40; at eps=0 all are equal."""
+        """Every cut up to m=7, and a sample at m=10, takes the exactly worst
+        bits, on bounds of 2, 3 and ``BOUND_PREC`` digits.  At m=10 and
+        eps=1/20 two pairs of ratios differ by less than one part in 10**40;
+        at eps=0 all are equal."""
         per = assignment_erasures(PatternAssignment(indices), REG2).per_subword
         ratios = synthetic_erasure_ratios(per, m - 1, eps)
         common = math.lcm(*{d for _, d in ratios})
         keys = [n * (common // d) for n, d in ratios]
         worst = sorted(range(1 << m), key=lambda i: (keys[i], i), reverse=True)
+        cuts = range(1 << m) if m <= 7 else [*range(0, 1 << m, 61), 955, 989, 1023]
         for prec in (2, 3, polarize.BOUND_PREC):
             monkeypatch.setattr(polarize, "BOUND_PREC", prec)
-            assert polarize._rank_ties(list(range(1 << m)), per, m - 1, eps) == worst, prec
+            for cut in cuts:
+                frozen = polarize.design_ranking(per, m - 1, eps, cut)[1]
+                assert frozen == tuple(sorted(worst[:cut])), (prec, cut)
 
     def test_exact_fallback(self, monkeypatch):
-        """Two-digit bounds, taken for every sub-codeword, round to
-        different floats at most bits, which are then evaluated exactly, and
-        overlap in the tie runs: floats and frozen sets are unchanged."""
+        """Two-digit bounds round to different floats at most bits, which
+        are then evaluated exactly, and overlap at the cut: floats and
+        frozen sets are unchanged."""
         cases = [(REG2, A01, 10, F(1, 20), k) for k in (1, 35, 69, 70, 512)]
         cases += [(family_by_name("irr4"), PatternAssignment([2, 5, 7, 7]), 8, eps, 128)
                   for eps in RATIO_EPS]
@@ -263,7 +262,6 @@ class TestDesignCode:
             return path(*args)
 
         monkeypatch.setattr(polarize, "BOUND_PREC", 2)
-        monkeypatch.setattr(polarize, "EXACT_BITS", 0)
         monkeypatch.setattr(polarize, "_path_ratio", counted)
         for (f, a, m, eps, k), spec in zip(cases, designed):
             exact.clear()
@@ -272,11 +270,19 @@ class TestDesignCode:
             if 0 < eps < 1:
                 assert len(exact) > spec.n // 2
 
-    def test_float_ties_ranked_exactly(self):
+    def test_float_ties_ranked_exactly(self, monkeypatch):
         """reg2 {0,1} at m=10 and eps=1/20: 69 design erasures round to 0.0
         and 12 more are subnormal, so the floats tie where the exact values
         differ.  k = 1 and 35 cut inside the 0.0 run, k = 69 and 70 at its
-        edge, k = 512 far from it."""
+        edge, k = 512 far from it.  The 40-digit bounds keep their exponent,
+        so they separate these erasures and no bit is evaluated exactly."""
+        path, exact = polarize._path_ratio, []
+
+        def counted(*args):
+            exact.append(args)
+            return path(*args)
+
+        monkeypatch.setattr(polarize, "_path_ratio", counted)
         m, eps = 10, F(1, 20)
         n = 1 << m
         values = fraction_design_values(assignment_erasures(A01, REG2).per_subword, m - 1, eps)
@@ -284,6 +290,7 @@ class TestDesignCode:
         for k in (1, 35, 69, 70, 512):
             spec = design_code(m, 1, A01, eps, k, REG2)
             assert spec.frozen == tuple(sorted(worst[: n - k])), k
+        assert exact == []
         assert spec.design_floats == tuple(float(v) for v in values)
         zeros = [values[i] for i in range(n) if spec.design_floats[i] == 0.0]
         assert len(zeros) == len(set(zeros)) == 69
