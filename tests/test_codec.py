@@ -212,10 +212,24 @@ class TestDesignCode:
                     spec = design_code(m, t, assignment, eps, k, family)
                     assert spec.frozen == tuple(sorted(worst[: n - k]))
 
+    @pytest.mark.parametrize("extra_bits", [0, 3000])
     @pytest.mark.parametrize(
         "name, stride, m", [("reg2", 1, 8), ("reg4", 1, 6), ("irr4", 23, 7), ("reg8", 643, 8)]
     )
-    def test_floats_are_the_rounded_ratios(self, name, stride, m):
+    def test_floats_are_the_rounded_ratios(self, monkeypatch, name, stride, m, extra_bits):
+        """The floats are the rounded ratios on ``BOUND_PREC``-digit bounds,
+        where a bit whose bounds straddle a rounding boundary is evaluated
+        exactly (reg4 {3,3,3,3} at eps=1/2 has four at a midpoint), and on
+        bounds 3000 bits wider, which decide every float here alone."""
+        digits = polarize.BOUND_PREC + math.ceil(extra_bits * math.log10(2))
+        monkeypatch.setattr(polarize, "BOUND_PREC", digits)
+        path, exact = polarize._path_ratio, []
+
+        def counted(*args):
+            exact.append(args)
+            return path(*args)
+
+        monkeypatch.setattr(polarize, "_path_ratio", counted)
         family = family_by_name(name)
         t = family.size.bit_length() - 1
         for assignment in enumerate_assignments(family, family.size)[::stride]:
@@ -223,6 +237,8 @@ class TestDesignCode:
             for eps in RATIO_EPS:
                 expected = [n / d for n, d in synthetic_erasure_ratios(per, m - t, eps)]
                 assert synthetic_erasure_floats(per, m - t, eps) == expected
+        if extra_bits:
+            assert exact == []
 
     @pytest.mark.parametrize(
         "indices, m, eps",
