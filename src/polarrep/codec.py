@@ -425,12 +425,17 @@ def exact_erasure_oracle(spec: CodeSpec) -> list[Poly]:
     if n_sym > ORACLE_MAX_BITS:
         raise ValueError(f"total length {n_sym} exceeds oracle bound {ORACLE_MAX_BITS}")
     # Pattern p erases symbol i when bit i of p is set, so symbol i's lane
-    # repeats 2**i zeros then 2**i ones; by_weight[w] marks the patterns of
-    # weight w, built one symbol at a time.
+    # repeats 2**i zeros then 2**i ones, doubled from one period until it
+    # spans every pattern; by_weight[w] marks the patterns of weight w, built
+    # one symbol at a time.
     lanes = 1 << n_sym
-    full = (1 << lanes) - 1
-    symbols = [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i))
-               for i in range(n_sym)]
+    symbols = []
+    for i in range(n_sym):
+        lane, span = (1 << (1 << i)) - 1 << (1 << i), 2 << i
+        while span < lanes:
+            lane |= lane << span
+            span <<= 1
+        symbols.append(lane)
     width = spec.inner_len
     rows = [sum(lane << j * lanes for j, lane in enumerate(symbols[q : q + width]))
             for q in range(0, n_sym, width)]

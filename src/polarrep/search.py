@@ -11,10 +11,13 @@ only for the report.  The winner is the assignment that maximizes capacity
 at every grid point simultaneously when such an assignment exists, and
 otherwise the one winning the most grid points.  A dominance certificate
 against every other candidate can be requested on top of the grid
-comparison: each difference is settled by Budan's 0-1 test, with a Sturm
-root count only where sign variations remain
-(``proofcheck.certify_dominance``).  Capacity polynomials are built only for
-the winner and for the candidates such a certificate checks.
+comparison, by Budan's 0-1 test on each difference.  Its transform
+(1 + x)**D H(1/(1 + x)) is the numerator's form at (1, 1 + x), so the same
+table, evaluated once more at x = 2**bits, packs every candidate's
+coefficients in signed slots; a difference with no sign variation has no
+root in (0, 1).  Only where variations remain are the two capacity
+polynomials built and ``proofcheck.certify_dominance`` run, whose Sturm count
+decides.  Otherwise the winner's is the one capacity polynomial built.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .effective_channels import (
     assignment_erasures,
 )
 from .patterns import Kernel, PatternAssignment, PatternFamily
-from .proofcheck import certify_dominance
+from .poly import Poly
 
 #: Largest candidate count a search enumerates: reg8 (6,435) fits, reg16
 #: (300,540,195) would not fit in memory.
@@ -90,31 +93,40 @@ def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignme
     ]
 
 
-def _grid_capacities(
-    groups: list[tuple[tuple[Kernel, int], ...]], r: int, grid: tuple[Fraction, ...]
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Every candidate's capacity at every grid point, as integers.
+def _factor_table(
+    groups: list[tuple[tuple[Kernel, int], ...]], r: int
+) -> tuple[list[list[Poly]], list[list[int]]]:
+    """The design factors every candidate reads, and each candidate's rows.
 
-    Returns one tuple of numerators per candidate and one denominator per
-    point.  Each design factor is an integer polynomial, evaluated once per
-    point p/q by a homogeneous Horner pass and written over q**w, w the
-    largest degree among its kernel group's factors.  A candidate's erasure
-    at sub-codeword k is then the product of its groups' values, M_k, over
-    q**d with d the sum of their w, and with D the largest d over all
-    candidates its capacity (r - sum M_k / q**d) / r**2 is the integer
-    r q**D - q**(D - d) sum M_k over the point's r**2 q**D.
+    Row i holds the r factors of one distinct (kernel, multiplicity) key; a
+    candidate's erasure at sub-codeword k is the product of column k over
+    its rows.
     """
     position: dict[tuple[Kernel, int], int] = {}
     members = [[position.setdefault(key, len(position)) for key in g] for g in groups]
     table = [[_design_factor(*key, k) for k in range(r)] for key in position]
+    return table, members
+
+
+def _grid_capacities(
+    table: list[list[Poly]], members: list[list[int]], r: int, points: list[tuple[int, int]]
+) -> tuple[list[list[int]], int]:
+    """Every candidate's capacity numerator at every point (p, q), as integers.
+
+    Returns one column per point, one integer per candidate, and the degree
+    D they share.  Each design factor is an integer polynomial, evaluated
+    once per point by a homogeneous Horner pass and written as a form of
+    degree w, the largest degree among its row's factors.  A candidate's
+    erasure at sub-codeword k is then the product of its rows' values, M_k,
+    a form of degree d, the sum of their w, and its capacity numerator is
+    the degree-D form r q**D - q**(D - d) sum M_k.  At p/q in (0, 1) the
+    capacity is that integer over r**2 q**D.
+    """
     widths = [max(f.degree for f in factors) for factors in table]
     degrees = [sum(widths[i] for i in ids) for ids in members]
     top = max(degrees)
     columns = []
-    denominators = []
-    for x in grid:
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
+    for p, q in points:
         values = [
             [f.horner(p, q) * q ** (w - f.degree) for f in factors]
             for factors, w in zip(table, widths)
@@ -124,8 +136,65 @@ def _grid_capacities(
             r * qpow[top] - qpow[top - d] * sum(map(prod, zip(*[values[i] for i in ids])))
             for ids, d in zip(members, degrees)
         ])
-        denominators.append(r * r * qpow[top])
-    return list(zip(*columns)), denominators
+    return columns, top
+
+
+def _slot_bits(table: list[list[Poly]], members: list[list[int]], r: int, top: int) -> int:
+    """A slot width, in whole bytes, that holds every Budan coefficient of a
+    capacity difference.
+
+    At (1, 1 + x) a factor of l1 norm n contributes at most n 2**w to the
+    l1 norm of its form, so each coefficient of a numerator is at most
+    2**D (r + sum_k prod ||f||_1), and a difference's at most twice that.
+    """
+    norms = [[sum(map(abs, f.num)) for f in factors] for factors in table]
+    bound = max(sum(map(prod, zip(*[norms[i] for i in ids]))) for ids in members)
+    bits = (2 * (r + bound) << top).bit_length() + 1
+    return -(-bits // 8) * 8
+
+
+def _slots(value: int, bits: int, count: int) -> list[int]:
+    """The ``count`` signed ``bits``-wide digits c_j of value, highest first,
+    where value = sum c_j 2**(bits j) and every |c_j| < 2**(bits - 1).
+
+    Each digit is read biased by 2**(bits - 1), from whole bytes, so
+    ``bits`` must be a multiple of 8.
+    """
+    half = 1 << bits - 1
+    width = bits // 8
+    raw = (value + half * (((1 << bits * count) - 1) // ((1 << bits) - 1))).to_bytes(
+        width * count, "big"
+    )
+    return [int.from_bytes(raw[i:i + width], "big") - half for i in range(0, len(raw), width)]
+
+
+def _variations(coeffs: list[int]) -> int:
+    """Sign variations of a coefficient sequence, zeros skipped."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _dominates(
+    difference: int, bits: int, count: int, best_channels: EffectiveChannelSet,
+    other: PatternAssignment, family: PatternFamily,
+) -> bool:
+    """Whether the winner's capacity certifiably exceeds ``other``'s on (0, 1).
+
+    ``difference`` packs the Budan coefficients of their capacity difference
+    times (1 + x)**(D - n), n its degree; those extra factors never add sign
+    variations.  Zero is the same polynomial.  Zero variations prove there
+    is no root in (0, 1), and the winner, best at every grid point, is then
+    above everywhere.  Otherwise ``proofcheck.certify_dominance`` decides.
+    """
+    if not difference:
+        return False
+    if not _variations(_slots(difference, bits, count)):
+        return True
+    from .proofcheck import certify_dominance
+
+    return certify_dominance(
+        best_channels.capacity_poly, assignment_erasures(other, family).capacity_poly
+    ) == "certified"
 
 
 def best_assignment(
@@ -149,10 +218,13 @@ def best_assignment(
 
     candidates = enumerate_assignments(family, r)
     assert len(candidates) == comb(len(family) + r - 1, r)
-    groups = [_kernel_groups(a, family) for a in candidates]
-    numerators, denominators = _grid_capacities(groups, r, grid)
+    table, members = _factor_table([_kernel_groups(a, family) for a in candidates], r)
+    points = [(x.numerator, x.denominator) for x in map(Fraction, grid)]
+    columns, top = _grid_capacities(table, members, r, points)
+    numerators = list(zip(*columns))
+    denominators = [r * r * q**top for _, q in points]
 
-    per_point_max = [max(column) for column in zip(*numerators)]
+    per_point_max = [max(column) for column in columns]
     wins = [sum(c == m for c, m in zip(caps, per_point_max)) for caps in numerators]
     # A dominant candidate wins every point, so it is preferred when one exists.
     best_i = min(range(len(candidates)), key=lambda i: (-wins[i], candidates[i].indices))
@@ -161,13 +233,14 @@ def best_assignment(
 
     certified = False
     if certify and wins[best_i] == len(grid):
+        # At (1, 1 + x) each numerator is its Budan transform (1 + x)**D C(1/(1 + x)):
+        # with x = 2**bits, one more column packs every candidate's coefficients.
+        bits = _slot_bits(table, members, r, top)
+        [packed], _ = _grid_capacities(table, members, r, [(1, 1 + (1 << bits))])
         certified = all(
-            certify_dominance(
-                best_channels.capacity_poly, assignment_erasures(a, family).capacity_poly
-            )
-            == "certified"
-            for a in candidates
-            if a is not best
+            _dominates(packed[best_i] - packed[i], bits, top + 1, best_channels, a, family)
+            for i, a in enumerate(candidates)
+            if i != best_i
         )
 
     # The sum of a candidate's capacities times r**2 * Q**D, Q the lcm of

@@ -5,9 +5,9 @@ from math import comb
 
 import pytest
 
-from polarrep.effective_channels import _design_factor, assignment_erasures
+from polarrep.effective_channels import _design_factor, _kernel_groups, assignment_erasures
 from polarrep.patterns import PatternAssignment, family_by_name
-from polarrep import poly, search
+from polarrep import poly, proofcheck, search
 from polarrep.proofcheck import certify_difference, certify_dominance
 from polarrep.search import (
     DEFAULT_GRID,
@@ -209,8 +209,9 @@ def test_only_winner_polynomials_built_without_dominance(monkeypatch):
     assert report.best.indices == (0, 3, 3, 3)
     assert built == [(0, 3, 3, 3)]
     built.clear()
-    best_assignment(family_by_name("irr4"))
-    assert len(built) == 330  # the winner and the 329 dominance checks
+    report = best_assignment(family_by_name("irr4"))
+    assert report.dominance_certified
+    assert built == [(2, 5, 7, 7)]  # the packed column settled the 329 others
 
 
 @pytest.mark.parametrize("name", ["reg2", "irr4", "reg8"])
@@ -222,3 +223,98 @@ def test_design_factor_table(name):
                 assert _design_factor(kern, mult, k) == _design_factor.__wrapped__(
                     kern, mult, k
                 )
+
+
+def packed_column(family, extra_bits=0):
+    """The search's packed Budan column: candidates, slot width, slot count
+    and every candidate's slots, highest degree first."""
+    r = family.size
+    candidates = enumerate_assignments(family, r)
+    table, members = search._factor_table([_kernel_groups(a, family) for a in candidates], r)
+    _, top = search._grid_capacities(table, members, r, [])
+    bits = search._slot_bits(table, members, r, top) + extra_bits
+    [packed], _ = search._grid_capacities(table, members, r, [(1, 1 + (1 << bits))])
+    return candidates, bits, top + 1, packed
+
+
+@pytest.mark.parametrize("name", ["reg2", "reg4", "irr4", "reg8"])
+def test_packed_slots_independent_of_width(name):
+    """Slots 64 bits wider read the same coefficients: the computed width
+    leaves no carry between slots."""
+    fam = family_by_name(name)
+    candidates, bits, count, packed = packed_column(fam)
+    _, _, _, wide = packed_column(fam, 64)
+    mid = len(candidates) // 2
+    for value, wider in zip(packed, wide):
+        assert search._slots(value, bits, count) == search._slots(wider, bits + 64, count)
+        # A difference fits as well: the width bounds twice every coefficient.
+        assert (search._slots(packed[mid] - value, bits, count)
+                == search._slots(wide[mid] - wider, bits + 64, count))
+
+
+@pytest.mark.parametrize("name", ["reg2", "reg4", "irr4"])
+def test_packed_slots_are_budan_coefficients(name):
+    """Each candidate's slots are (1 + x)**D H(1/(1 + x)), H = r**2 times
+    its capacity polynomial, computed from the polynomial."""
+    fam = family_by_name(name)
+    candidates, bits, count, packed = packed_column(fam)
+    shift = poly.Poly([1, 1])
+    for a, value in zip(candidates, packed):
+        h = assignment_erasures(a, fam).capacity_poly.scale(fam.size**2)
+        transform = poly.Poly.zero()
+        for i, c in enumerate(h.coeffs):
+            transform = transform + (shift ** (count - 1 - i)).scale(c)
+        coeffs = [int(c) for c in transform.coeffs]
+        assert search._slots(value, bits, count)[::-1] == coeffs + [0] * (count - len(coeffs))
+
+
+def test_packed_variations_settle_dominance():
+    """Zero packed variations on a nonzero difference imply the Sturm-backed
+    verdict: certified for the side the slots favour.  Checked on every
+    reg4 pair and on irr4's winner against the 329 others."""
+    fam = family_by_name("reg4")
+    candidates, bits, count, packed = packed_column(fam)
+    caps = [assignment_erasures(a, fam).capacity_poly for a in candidates]
+    settled = 0
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            slots = search._slots(packed[i] - packed[j], bits, count)
+            if not any(slots):  # 17 of the 35 share one of two capacities
+                assert caps[i] == caps[j]
+                assert certify_dominance(caps[i], caps[j]) == "refuted"
+            elif search._variations(slots) == 0:
+                settled += 1
+                hi, lo = (i, j) if max(slots) > 0 else (j, i)
+                assert certify_dominance(caps[hi], caps[lo]) == "certified"
+                assert certify_dominance(caps[lo], caps[hi]) == "refuted"
+    assert settled > 0
+
+    irr4 = family_by_name("irr4")
+    candidates, bits, count, packed = packed_column(irr4)
+    best = [a.indices for a in candidates].index((2, 5, 7, 7))
+    winner = assignment_erasures(candidates[best], irr4).capacity_poly
+    for i, a in enumerate(candidates):
+        if i != best:
+            slots = search._slots(packed[best] - packed[i], bits, count)
+            assert search._variations(slots) == 0 and max(slots) > 0
+            assert certify_dominance(
+                winner, assignment_erasures(a, irr4).capacity_poly) == "certified"
+
+
+def test_variations_fall_back_to_dominance(monkeypatch):
+    """With sign variations forced on every difference, each one goes to
+    ``proofcheck.certify_dominance`` and the report is unchanged."""
+    calls = []
+    certify = proofcheck.certify_dominance
+
+    def counted(pa, pb):
+        calls.append(pb)
+        return certify(pa, pb)
+
+    monkeypatch.setattr(search, "_variations", lambda coeffs: 1)
+    monkeypatch.setattr(proofcheck, "certify_dominance", counted)
+    fam = family_by_name("irr4")
+    report = best_assignment(fam)
+    assert len(calls) == 329
+    assert report == reference_search(fam, DEFAULT_GRID, True)
+    assert report.dominance_certified
