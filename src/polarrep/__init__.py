@@ -17,8 +17,10 @@ change their meaning, so nothing loads ``dataclasses``.
 import importlib
 from fractions import Fraction
 
-#: Largest level count ``certify_gain`` accepts and ``curves`` builds.  Every
+#: Largest level count ``certify_gain`` accepts and ``curves`` evaluates.  Every
 #: t = 1..7 is certified by Budan's test with zero variations; t = 8 is unmeasured.
+#: On the default grid ``curves`` takes 0.06 s of exact arithmetic at t = 7,
+#: 0.8 s at t = 8 and 105 s at t = 10 (Python 3.11, one Xeon vCPU).
 MAX_GAIN_T = 7
 
 #: Uniform rational grid 1/20 .. 19/20 used when the caller does not choose.

@@ -6,7 +6,9 @@ they can be cross-checked:
 * ``regular_block_erasures`` -- the closed-form design recursion for a single
   regular pattern: at each level the odd child maps z -> z*(1 + z - z**2)
   and the even child z -> z**2 when the pattern bit polarizes, both children
-  staying at z when it does not.
+  staying at z when it does not.  It walks numerators over one shared
+  denominator, so it yields the polynomials or, at a rational point, their
+  exact integer numerators.
 * ``assignment_erasures`` -- the design analysis for an arbitrary multiset
   of kernels: blocks with identical kernels merge their aligned legs at each
   polarizing level, distinct kernels contribute independent per-block
@@ -77,28 +79,38 @@ def _make_set(per_subword: tuple[Poly, ...]) -> EffectiveChannelSet:
 
 # -- regular-pattern design recursion ---------------------------------------
 
-def regular_block_erasures(i: int, t: int) -> tuple[Poly, ...]:
-    """Per-sub-codeword erasure polynomials of regular pattern i at t levels.
+def regular_block_erasures(i: int, t: int, eps=EPS, den=ONE) -> tuple:
+    """Per-sub-codeword erasures of regular pattern i at t levels, as
+    numerators over den**(3**t).
 
     Bits of ``i`` are consumed most significant first, one per level; the
-    seed is the raw erasure probability.  Pattern 2**t - 1 (identity) leaves
-    every sub-codeword at the raw channel.
+    seed is the raw erasure probability eps/den.  With z = n/d a polarizing
+    level gives n(d**2 + nd - n**2)/d**3 (z -> z(1 + z - z**2)) and
+    n**2 d/d**3 (z -> z**2), a plain level nd**2/d**3 twice, so every
+    pattern's results share one denominator.  With the defaults (``EPS``
+    over the unit ``Poly``) they are the erasure polynomials; with ints
+    (p, q) they are the integer numerators at eps = p/q, which is how
+    ``curves`` evaluates the scheme without building it.  Pattern
+    2**t - 1 (identity) leaves every sub-codeword at the raw channel.
     """
     if t < 0:
         raise ValueError("level count must be >= 0")
     if not 0 <= i < (1 << t):
         raise ValueError(f"pattern index {i} out of range for t={t}")
-    zs: list[Poly] = [EPS]
+    zs = [eps]
     for level in range(t - 1, -1, -1):
-        polarize = ((i >> level) & 1) == 0
-        nxt: list[Poly] = []
-        for z in zs:
-            if polarize:
-                nxt.append(z * (ONE + z - z * z))
-                nxt.append(z * z)
-            else:
-                nxt.extend((z, z))
+        square = den * den
+        nxt = []
+        if (i >> level) & 1:
+            for n in zs:
+                n = n * square
+                nxt += (n, n)
+        else:
+            for n in zs:
+                nxt.append(n * (square + n * den - n * n))
+                nxt.append(n * n * den)
         zs = nxt
+        den = square * den
     return tuple(zs)
 
 

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import polarrep
-from polarrep import codec, effective_channels, poly, proofcheck, search
-from polarrep.cli import _decimal, _exact, main
+from polarrep import DEFAULT_GRID, codec, effective_channels, poly, proofcheck, search
+from polarrep.cli import _decimal, _exact, _scheme_capacity, main
 from polarrep.codec import synthetic_erasure_values
-from polarrep.effective_channels import assignment_erasures
+from polarrep.effective_channels import assignment_erasures, coded_repetition_scheme
 from polarrep.patterns import PatternAssignment, family_by_name
 
 
@@ -301,6 +301,11 @@ def test_config_grid_ignored_by_simulate(tmp_path, capsys):
         pytest.param(["analyze", "--family", "reg2", "--assign", "0,1", "--grid", ","],
                      "--grid lists no points", id="analyze-empty-grid"),
         pytest.param(["curves", "--r", ","], "--r lists no repetition counts", id="curves-empty-r"),
+        pytest.param(["curves", "--r", "2,2"], "repetition count 2 repeated",
+                     id="curves-repeated-r"),
+        pytest.param(["curves", "--r", "2,1"], "repetition count 1 has no polarized block",
+                     id="curves-r1"),
+        pytest.param(["prove", "--t", "1,1"], "level count 1 repeated", id="prove-repeated-t"),
         pytest.param(["kernels", "--refs", ","], "--refs lists no kernels",
                      id="kernels-empty-refs"),
         pytest.param(["prove", "--custom", "1/2,-1", "--t", ","], "--t lists no level counts",
@@ -534,10 +539,49 @@ def test_curves_r_bound_admits_128(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["reason"] == "scheme built"
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["curves", "--r", "2,4,2"], "repetition count 2 repeated"),
+        (["curves", "--r", "2,1"], "repetition count 1 has no polarized block: need r >= 2"),
+        (["prove", "--t", "1,2,1"], "level count 1 repeated"),
+    ],
+    ids=["curves-repeated-r", "curves-r1", "prove-repeated-t"],
+)
+def test_list_refused_before_building(monkeypatch, capsys, argv, reason):
+    def built(*args):
+        raise AssertionError("built before the list was checked")
+
+    monkeypatch.setattr(effective_channels, "regular_block_erasures", built)
+    monkeypatch.setattr(effective_channels, "reference_expression_set", built)
+    monkeypatch.setattr(poly.Poly, "compose", built)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err)["reason"] == reason
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_curves_cell_is_scheme_capacity(t):
+    for g in DEFAULT_GRID:
+        assert _scheme_capacity(t, g) == coded_repetition_scheme(t).capacity_at(g)
+
+
+def test_curves_builds_no_scheme(monkeypatch, capsys):
+    def built(*args):
+        raise AssertionError("scheme polynomial built")
+
+    monkeypatch.setattr(effective_channels, "coded_repetition_scheme", built)
+    code, out = run(capsys, *CURVES_ARGV, "--format", "csv")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, CURVES_CSV)
+
+
 # sha256 of each CSV document and the exit code, recorded before main became
 # the one writer of every document; ``simulate`` re-recorded for the exact
 # Bernoulli stream, which changed only its empirical_rate column.
 ANALYZE_CSV = "53f3308e04d4f4aae99645ab8810a9f02590492ea6ead6bee45340aec298d95d"
+CURVES_ARGV = ["curves", "--r", "2,4", "--grid", "1/4,1/2"]
+CURVES_CSV = "743c504d54512fb32e1658f39fdf9965ab9d54f3635371d7d5278fa197a08301"
 
 
 @pytest.mark.parametrize(
@@ -550,8 +594,7 @@ ANALYZE_CSV = "53f3308e04d4f4aae99645ab8810a9f02590492ea6ead6bee45340aec298d95d"
          "570685aef79dc3edbffdcaaf96ecd902a7b3fc37ffae80e1aa16fa763f585289"),
         (["kernels", "--refs", "reg4:0,irr4:7"], 0,
          "838e30634509f465f342a3f2adec7f55b1fae2caf5557dc8bf08f475e268841b"),
-        (["curves", "--r", "2,4", "--grid", "1/4,1/2"], 0,
-         "743c504d54512fb32e1658f39fdf9965ab9d54f3635371d7d5278fa197a08301"),
+        (CURVES_ARGV, 0, CURVES_CSV),
         (["simulate", "--r", "2", "--m", "4", "--assign", "0,1", "--trials", "200",
           "--seed", "5"], 0, "e59919b4d6f35d0433cd4a6f2fd9d4ec3a66a388bf28ff48dab4e1235b9e8476"),
         (["search", "--family", "irr4"], 0,

@@ -36,6 +36,17 @@ class TestRegularBlockErasures:
         )
         assert regular_block_erasures(0, 2) == expected
 
+    @pytest.mark.parametrize("t", [0, 1, 2, 3])
+    def test_integer_walk_is_polynomials_at_point(self, t):
+        """One walk: at p/q its integer numerators are the erasure
+        polynomials' values over q**(3**t)."""
+        for i in range(1 << t):
+            polys = regular_block_erasures(i, t)
+            for p, q in ((1, 3), (2, 7), (1, 2), (19, 20)):
+                nums = regular_block_erasures(i, t, p, q)
+                assert all(type(n) is int for n in nums)
+                assert list(nums) == [z.evaluate(F(p, q)) * q ** 3**t for z in polys]
+
     def test_index_bounds(self):
         with pytest.raises(ValueError):
             regular_block_erasures(4, 2)
