@@ -160,7 +160,9 @@ def cmd_search(args) -> tuple[dict | list, int]:
     family = family_by_name(args.family)
     report = best_assignment(family, grid=_grid(args), certify=not args.no_certify)
     if args.format == "csv":
-        return report.to_csv_rows(), 0
+        rows = [["assignment"] + [f"eps={g}" for g in report.grid]]
+        rows += [[a.label()] + [_decimal(c) for c in caps] for a, caps in report.ranking]
+        return rows, 0
     return {"command": "search", **report.to_json_dict()}, 0
 
 
@@ -357,7 +359,7 @@ def cmd_simulate(args) -> tuple[dict | list, int]:
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)
         for i, rate in enumerate(report.per_bit_rates):
-            rows.append([i, f"{rate:.12g}", _decimal(floats[i]), int(i in frozen)])
+            rows.append([i, _decimal(rate), _decimal(floats[i]), int(i in frozen)])
         return rows, 0
     return {
         "command": "simulate",

@@ -250,7 +250,9 @@ def _walk(carriers: list[tuple[Kernel, Any]], ops: Any, first: int = 0) -> list:
         (kern.a, ops.check(msg[:h], estimates[kern.b]) if kern.e else msg[:h])
         for kern, msg in carriers
     ]
+    del estimates  # not read again: free them before the earlier half decodes
     known = _walk(earlier, ops, first)
+    del earlier  # its check outputs: free them before the later half decodes
     later = []
     for kern, msg in carriers:
         later.append((kern.b, msg[h:]))
@@ -544,18 +546,21 @@ def _bernoulli_bits(getrandbits, nbits: int, p: int, q: int) -> int:
     """
     if p == q:
         return (1 << nbits) - 1
-    hits, open_ = 0, (1 << nbits) - 1
+    # open_ = -1 stands for every lane before the first round, so that round
+    # builds no mask; the open lanes are only worked out for a next round.
+    hits, open_ = 0, -1
     rounds = 0
     while open_ and p:
         if rounds == _ROUNDS:
             return hits | _deposit(open_, _bernoulli_bits(getrandbits, open_.bit_count(), p, q))
         rounds += 1
-        differ = getrandbits(nbits) & open_
-        open_ ^= differ
+        differ = getrandbits(nbits) if open_ < 0 else getrandbits(nbits) & open_
         p += p
         if p >= q:
             p -= q
-            hits |= differ
+            hits = hits | differ if hits else differ
+        if p:
+            open_ = ((1 << nbits) - 1 if open_ < 0 else open_) ^ differ
     return hits
 
 

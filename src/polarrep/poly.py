@@ -319,6 +319,12 @@ def square_free_part(p: Poly) -> Poly:
     return q
 
 
+def _variations(values: Iterable[int]) -> int:
+    """Sign variations of a sequence, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
 def _sturm_chain(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     """f, f' and the negated pseudo-remainders, each made primitive, until a
     constant or a zero remainder."""
@@ -343,8 +349,8 @@ class SturmSequence:
     unchanged).  The chain ends at a nonzero constant.
 
     The chain of p itself ends at gcd(p, p'); only when that is not a
-    constant, so p has a repeated root, is p divided by it and the chain of
-    the quotient built instead.
+    constant, so p has a repeated root, is the chain of
+    ``square_free_part(p)`` built instead.
     """
 
     __slots__ = ("chain",)
@@ -352,23 +358,16 @@ class SturmSequence:
     def __init__(self, p: Poly):
         if p.is_zero():
             raise ValueError("Sturm sequence of the zero polynomial is undefined")
-        f = _primitive(p.num) if p.degree else (1,)
-        chain = _sturm_chain(f)
-        g = chain[-1]
-        if len(g) > 1:
-            # g is gcd(f, f') up to a constant, and sign(lead g) * f/g is a
-            # positive multiple of square_free_part(p).
-            q, _, _ = _pseudo_divmod(f, g)
-            chain = _sturm_chain(_primitive(q if g[-1] > 0 else [-c for c in q]))
+        chain = _sturm_chain(_primitive(p.num) if p.degree else (1,))
+        if len(chain[-1]) > 1:
+            chain = _sturm_chain(_primitive(square_free_part(p).num))
         self.chain = tuple(_poly(list(c)) for c in chain)
 
     def sign_changes(self, x: Fraction | int) -> int:
-        signs = []
-        for q in self.chain:
-            v = q.evaluate(x)
-            if v:
-                signs.append(v > 0)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        """Sign variations of the chain at x = p/q, read from each entry's
+        ``horner(p, q)``: its value times den * q**n, a positive multiple."""
+        x = Fraction(x)
+        return _variations(f.horner(x.numerator, x.denominator) for f in self.chain)
 
     def roots_in(self, a: Fraction | int, b: Fraction | int) -> int:
         """Number of distinct real roots in the open interval (a, b).
@@ -408,5 +407,4 @@ def budan_variations(p: Poly) -> int:
     a = list(reversed(p.num))
     for i in range(len(a) - 1):
         a[i:] = list(accumulate(reversed(a[i:])))[::-1]
-    signs = [c > 0 for c in a if c]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    return _variations(a)

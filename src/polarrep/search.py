@@ -35,7 +35,7 @@ from .effective_channels import (
     assignment_erasures,
 )
 from .patterns import Kernel, PatternAssignment, PatternFamily
-from .poly import Poly
+from .poly import Poly, _variations
 
 #: Largest candidate count a search enumerates: reg8 (6,435) fits, reg16
 #: (300,540,195) would not fit in memory.
@@ -68,13 +68,6 @@ class SearchReport(NamedTuple):
                 for a, caps in self.ranking
             ],
         }
-
-    def to_csv_rows(self) -> list[list[str]]:
-        header = ["assignment"] + [f"eps={g}" for g in self.grid]
-        rows = [header]
-        for a, caps in self.ranking:
-            rows.append([a.label()] + [f"{float(c):.12g}" for c in caps])
-        return rows
 
 
 def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignment]:
@@ -166,12 +159,6 @@ def _slots(value: int, bits: int, count: int) -> list[int]:
         width * count, "big"
     )
     return [int.from_bytes(raw[i:i + width], "big") - half for i in range(0, len(raw), width)]
-
-
-def _variations(coeffs: list[int]) -> int:
-    """Sign variations of a coefficient sequence, zeros skipped."""
-    signs = [c > 0 for c in coeffs if c]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def _dominates(

@@ -1,5 +1,6 @@
 """Command-line interface behavior."""
 
+import csv
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import polarrep
-from polarrep import DEFAULT_GRID, codec, effective_channels, poly, proofcheck, search
+from polarrep import DEFAULT_GRID, cli, codec, effective_channels, poly, proofcheck, search
 from polarrep.cli import _decimal, _exact, _scheme_capacity, main
 from polarrep.codec import synthetic_erasure_values
 from polarrep.effective_channels import assignment_erasures, coded_repetition_scheme
@@ -66,6 +67,23 @@ def test_search_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("assignment,eps=1/20")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (["search", "--family", "reg2"], slice(1, None)),
+        (["simulate", "--r", "2", "--m", "4", "--assign", "0,1", "--trials", "50"], slice(1, 3)),
+    ],
+    ids=["search", "simulate"],
+)
+def test_csv_decimals_come_from_decimal(monkeypatch, capsys, argv, columns):
+    # Every decimal cell is written by cli._decimal, the one 12-digit rule.
+    monkeypatch.setattr(cli, "_decimal", lambda value: f"<{float(value)}>")
+    code, out = run(capsys, *argv, "--format", "csv")
+    cells = [cell for row in csv.reader(out.splitlines()[1:]) for cell in row[columns]]
+    assert code == 0 and cells
+    assert all(cell.startswith("<") for cell in cells)
 
 
 def test_prove_gain(capsys):

@@ -669,7 +669,30 @@ class _ScriptedBits:
         return word
 
 
+#: sha256 of the hex of three draws from ``random.Random(11)``, at 1, 64
+#: and 2**13 lanes, then one getrandbits(64) of the stream left: pins every
+#: bit drawn and every bit consumed.  At 2**13 lanes about eight lanes of a
+#: non-dyadic eps stay open after ``_ROUNDS`` and go through the deposit.
+BERNOULLI_DIGESTS = {
+    (0, 1): "20c902fe05d20f71928dec4dae22578c471f2a875fc710874a71c2b84e585bef",
+    (1, 1): "5334dc2a13fed37935971ccb91a8b95b2134a7732b81c968f62e823b2205db15",
+    (1, 2): "35f9126aa15ecbfde562b719ac63b72bbb180164cb23b6160db0db902374e056",
+    (1, 4): "80e3e5f8792455421775b2e1efe60a3d8b5e5239774462d07af12aa328b4f6cd",
+    (3, 8): "e4dc4d4d455e3350ce95f7e336a737be33ad428ba5a5758cea701cd4abf62d30",
+    (1, 3): "53159a89648861abad73797638cdfa2722520a2a51f57cf71d1faa6e1990de4d",
+    (3, 5): "5b0e77f6f88c8304db780994141108dbf257c8de8e3e7b68ce528b50e4b87387",
+    (9, 10): "789ffa7b9c9d9fa3b6b4d06b74522de786ab46e5e88a2c8992352952ac74eefa",
+}
+
+
 class TestBernoulliBits:
+    @pytest.mark.parametrize("p, q", list(BERNOULLI_DIGESTS))
+    def test_draws_pinned(self, p, q):
+        getrandbits = random.Random(11).getrandbits
+        draws = [codec._bernoulli_bits(getrandbits, n, p, q) for n in (1, 64, 1 << 13)]
+        text = ",".join(map(hex, draws + [getrandbits(64)]))
+        assert hashlib.sha256(text.encode()).hexdigest() == BERNOULLI_DIGESTS[p, q]
+
     @pytest.mark.parametrize("rounds", [codec._ROUNDS, 2, 1])
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_exact_for_dyadic_eps(self, monkeypatch, rounds, lanes):

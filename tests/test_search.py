@@ -131,9 +131,6 @@ def test_report_serialization():
     assert d["best"] == [0, 1]
     assert d["candidates_evaluated"] == 3
     assert len(d["ranking"]) == 3
-    rows = report.to_csv_rows()
-    assert rows[0][0] == "assignment"
-    assert len(rows) == 4
 
 
 def test_default_grid():
