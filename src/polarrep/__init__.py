@@ -9,9 +9,9 @@ and Monte Carlo simulator.
 Importing the package loads none of its modules: each public name is
 imported from its module on first use (PEP 562), so a command-line run loads
 only what its command runs.  ``kernels`` loads only ``patterns``, and only
-``simulate`` loads the codec; numpy is imported only by ``erasure_flow``.
-Records are NamedTuples, or ``patterns._Record`` where tuple behaviour would
-change their meaning, so nothing loads ``dataclasses``.
+``simulate`` loads the codec.  Every module runs on the standard library
+alone.  Records are NamedTuples, or ``patterns._Record`` where tuple
+behaviour would change their meaning, so nothing loads ``dataclasses``.
 """
 
 import importlib

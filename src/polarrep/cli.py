@@ -354,7 +354,7 @@ def cmd_simulate(args) -> tuple[dict | list, int]:
     elif spec.design_eps == eps:
         floats = spec.design_floats
     else:
-        floats = codec.synthetic_erasure_floats(per, m - t, eps)
+        floats = codec.design_ranking(per, m - t, eps, 0)[0]
     if args.format == "csv":
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)

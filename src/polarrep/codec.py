@@ -29,8 +29,8 @@ directly and counts each bit's failures per pattern weight to get exact
 per-bit erasure polynomials; it is the ground truth the design analysis in
 :mod:`polarrep.effective_channels` is compared against.  The Monte Carlo
 draws its row ints directly as exact Bernoulli(eps) bits from
-``random.Random(seed).getrandbits`` and counts failures by popcount; numpy
-is imported only by ``erasure_flow``, whose patterns come as boolean arrays.
+``random.Random(seed).getrandbits`` and counts failures by popcount;
+``erasure_flow`` packs its patterns' lanes into rows as the oracle does.
 """
 
 from __future__ import annotations
@@ -39,21 +39,17 @@ import functools
 import operator
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .effective_channels import _kernel_groups, assignment_erasures
 from .patterns import LEAF, Kernel, PatternAssignment, PatternFamily, _Record, apply_kernel
 from .polarize import (  # all three design erasure forms are read from codec
     _polarize,
     design_ranking,
-    synthetic_erasure_floats,
     synthetic_erasure_ratios,
     synthetic_erasure_values,
 )
 from .poly import EPS, Poly
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Full enumeration of 2**N erasure patterns stays cheap up to this length.
 #: Total lengths r * 2**m are powers of two, so the next length, 32, is the
@@ -383,30 +379,36 @@ def decode_operation_count(spec: CodeSpec) -> int:
     return _flow(spec, [0] * (spec.r * spec.r), 1)[1]
 
 
-def erasure_flow(spec: CodeSpec, erased: np.ndarray) -> np.ndarray:
+def _lane_rows(symbols: list[int], width: int, lanes: int) -> list[int]:
+    """The flow's rows from one ``lanes``-bit lane per symbol, ``width``
+    symbols per row: symbol q*width + j at bits j*lanes onwards of row q."""
+    return [sum(lane << j * lanes for j, lane in enumerate(symbols[q : q + width]))
+            for q in range(0, len(symbols), width)]
+
+
+def erasure_flow(spec: CodeSpec, erased: Sequence[Sequence[Any]]) -> list[list[bool]]:
     """Genie-aided per-bit erasure flags for a batch of erasure patterns.
 
-    ``erased`` is boolean with shape (batch, total_len); the result has
-    shape (batch, 2**m), entry (s, i) telling whether u-bit i is left
-    undetermined in pattern s when all earlier bits are known.  The sent
-    values are not needed: erasure propagation does not depend on them.
+    Each pattern in ``erased`` is a sequence of ``total_len`` values, true
+    where the symbol is erased.  Returns one row of 2**m flags per pattern,
+    flag i telling whether u-bit i is left undetermined in that pattern when
+    all earlier bits are known.  The sent values are not needed: erasure
+    propagation does not depend on them.
     """
-    import numpy as np
-
-    erased = np.asarray(erased, dtype=bool)
-    batch, n_sym = erased.shape
-    if n_sym != spec.total_len:
-        raise ValueError(f"expected {spec.total_len} symbols, got {n_sym}")
-    # Symbol-major lanes: bit k of byte b of a symbol's lane is pattern 8b + k,
-    # and padding patterns erase nothing, so they never count as failures.
-    data = np.packbits(erased, axis=0, bitorder="little").T.tobytes()
-    size = -(-batch // 8)
-    step = spec.inner_len * size
-    rows = [int.from_bytes(data[q * step : (q + 1) * step], "little") for q in range(spec.r**2)]
-    flags, _ = _flow(spec, rows, 8 * size)
-    data = np.frombuffer(b"".join(f.to_bytes(size, "little") for f in flags), dtype=np.uint8)
-    bits = np.unpackbits(data.reshape(spec.n, size), axis=1, count=batch, bitorder="little")
-    return bits.T.astype(bool)
+    n_sym = spec.total_len
+    masks = [bytes(map(operator.truth, pattern)) for pattern in erased]
+    for mask in masks:
+        if len(mask) != n_sym:
+            raise ValueError(f"expected {n_sym} symbols, got {len(mask)}")
+    if not masks:
+        return []
+    # Symbol i's lane is column i of the pattern-major 0/1 bytes, as binary
+    # digits with pattern s at bit s; each flag lane is read back the same way.
+    batch, data = len(masks), b"".join(masks).translate(bytes.maketrans(b"\0\1", b"01"))
+    symbols = [int(data[i::n_sym][::-1], 2) for i in range(n_sym)]
+    flags, _ = _flow(spec, _lane_rows(symbols, spec.inner_len, batch), batch)
+    digits = "".join(format(f, f"0{batch}b")[::-1] for f in flags)
+    return [list(map("1".__eq__, digits[s::batch])) for s in range(batch)]
 
 
 # -- exact oracle ------------------------------------------------------------
@@ -417,9 +419,9 @@ def exact_erasure_oracle(spec: CodeSpec) -> list[Poly]:
     Runs the genie-aided decoder once on the lanes of all 2**N erasure
     patterns of the full code (bit p of a lane is pattern p), counts each
     bit's failing patterns per weight w, and assembles the exact polynomial
-    sum of eps**w (1-eps)**(N-w) over them.  Needs no numpy.  Requires
-    every bit unfrozen (the oracle characterizes channels, not one code) and
-    a total length of at most ORACLE_MAX_BITS.
+    sum of eps**w (1-eps)**(N-w) over them.  Requires every bit unfrozen
+    (the oracle characterizes channels, not one code) and a total length of
+    at most ORACLE_MAX_BITS.
     """
     n_sym = spec.total_len
     if spec.k != spec.n:
@@ -438,9 +440,7 @@ def exact_erasure_oracle(spec: CodeSpec) -> list[Poly]:
             lane |= lane << span
             span <<= 1
         symbols.append(lane)
-    width = spec.inner_len
-    rows = [sum(lane << j * lanes for j, lane in enumerate(symbols[q : q + width]))
-            for q in range(0, n_sym, width)]
+    rows = _lane_rows(symbols, spec.inner_len, lanes)
     by_weight = [1]
     for i in range(n_sym):
         by_weight = [a | b << (1 << i) for a, b in zip(by_weight + [0], [0] + by_weight)]

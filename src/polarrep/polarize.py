@@ -93,14 +93,6 @@ def _bounds(value: Fraction, levels: int, rounding: str) -> list[decimal.Decimal
     return out
 
 
-def synthetic_erasure_floats(
-    per_subword: Sequence[Poly], inner_levels: int, eps: Fraction
-) -> list[float]:
-    """Design erasure of every u-bit at ``eps``, correctly rounded to a
-    float: the floats of ``design_ranking``, with no bit frozen."""
-    return design_ranking(per_subword, inner_levels, eps, 0)[0]
-
-
 def design_ranking(
     per_subword: Sequence[Poly], inner_levels: int, eps: Fraction, cut: int
 ) -> tuple[list[float], tuple[int, ...]]:

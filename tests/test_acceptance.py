@@ -109,9 +109,11 @@ def test_criterion_3_regular_winner_pointwise():
     two-block polynomials and best-pattern channel expressions, the
     assignment {1,2,3,3} exceeds {0,3,3,3} by capacity margins between
     4e-11 and 5e-7 at the six grid points eps <= 3/10 (difference polynomial
-    (eps^7 - 5 eps^8 + 6 eps^9 - 3 eps^11 + eps^12)/16, sign change near
-    eps = 0.322).  Both assignments use four distinct kernels, so their
-    channels are fully determined by the single-block factor rules the other
+    (eps^7 - 5 eps^8 + 6 eps^9 - 3 eps^11 + eps^12)/16
+    = eps^7 (eps - 1)^2 (eps^3 - eps^2 - 3 eps + 1)/16, whose sign changes
+    only at the root of eps^3 - eps^2 - 3 eps + 1 in (0, 1), eps = 0.311108).
+    Both assignments use four distinct kernels, so their channels are
+    fully determined by the single-block factor rules the other
     reproduction requirements pin; no consistent analysis avoids the
     crossover.  {0,3,3,3} wins the remaining 13 points and is returned as
     best by the most-points rule, which the search criterion asserts

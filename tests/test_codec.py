@@ -22,7 +22,6 @@ from polarrep.codec import (
     monte_carlo,
     oracle_spec,
     sc_decode,
-    synthetic_erasure_floats,
     synthetic_erasure_ratios,
     synthetic_erasure_values,
     synthetic_polynomials,
@@ -236,7 +235,7 @@ class TestDesignCode:
             per = assignment_erasures(assignment, family).per_subword
             for eps in RATIO_EPS:
                 expected = [n / d for n, d in synthetic_erasure_ratios(per, m - t, eps)]
-                assert synthetic_erasure_floats(per, m - t, eps) == expected
+                assert polarize.design_ranking(per, m - t, eps, 0)[0] == expected
         if extra_bits:
             assert exact == []
 
@@ -462,17 +461,27 @@ class TestScDecode:
                     [[rng.random() < 0.4 for _ in range(spec.total_len)] for _ in range(batch)]
                 )
                 flags = erasure_flow(spec, patterns)
-                assert flags.shape == (batch, spec.n) and flags.dtype == bool
-                # 0/1 integers and column-major arrays read as the same patterns.
-                assert (erasure_flow(spec, patterns.astype(np.int64)) == flags).all()
-                assert (erasure_flow(spec, np.asfortranarray(patterns)) == flags).all()
+                assert len(flags) == batch
+                assert all(len(row) == spec.n for row in flags)
+                assert all(type(b) is bool for row in flags for b in row)
+                # 0/1 integers, column-major arrays and plain lists read as
+                # the same patterns.
+                assert erasure_flow(spec, patterns.astype(np.int64)) == flags
+                assert erasure_flow(spec, np.asfortranarray(patterns)) == flags
+                assert erasure_flow(spec, patterns.tolist()) == flags
                 for pattern, row in zip(patterns, flags):
                     check(spec, pattern, row)
 
     def test_erasure_flow_empty_batch(self):
         spec = design_code(3, 1, A01, F(1, 2), 4, REG2)
-        flags = erasure_flow(spec, np.zeros((0, spec.total_len), dtype=bool))
-        assert flags.shape == (0, spec.n) and flags.dtype == bool
+        assert erasure_flow(spec, np.zeros((0, spec.total_len), dtype=bool)) == []
+        assert erasure_flow(spec, []) == []
+
+    def test_erasure_flow_refuses_wrong_length(self):
+        spec = design_code(3, 1, A01, F(1, 2), 4, REG2)
+        for patterns in ([[0] * spec.total_len, [0] * 15], np.zeros((2, 17), dtype=bool)):
+            with pytest.raises(ValueError, match=f"expected {spec.total_len} symbols"):
+                erasure_flow(spec, patterns)
 
 
 class TestOracle:
@@ -557,7 +566,7 @@ class TestOracle:
         idx = np.arange(1 << n_sym)
         patterns = (idx[:, None] >> np.arange(n_sym)) & 1 == 1
         weights = patterns.sum(axis=1)
-        flags = erasure_flow(spec, patterns)
+        flags = np.array(erasure_flow(spec, patterns))
         expected = []
         for i in range(spec.n):
             counts = np.bincount(weights[flags[:, i]], minlength=n_sym + 1)

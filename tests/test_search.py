@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from polarrep.effective_channels import _design_factor, _kernel_groups, assignment_erasures
-from polarrep.patterns import PatternAssignment, family_by_name
+from polarrep.patterns import G2, I2, PatternAssignment, PatternFamily, family_by_name
 from polarrep import poly, proofcheck, search
 from polarrep.proofcheck import certify_difference, certify_dominance
 from polarrep.search import (
@@ -315,3 +315,15 @@ def test_variations_fall_back_to_dominance(monkeypatch):
     assert len(calls) == 329
     assert report == reference_search(fam, DEFAULT_GRID, True)
     assert report.dominance_certified
+
+
+def test_identical_capacity_refutes_certificate():
+    """A candidate with the winner's own capacity polynomial packs a zero
+    difference, which refutes the certificate.  With two identity kernels,
+    (0, 1) and (0, 2) are the same code, so the winner (0, 1) wins every
+    grid point, the certificate is attempted, and it must fail."""
+    report = best_assignment(PatternFamily("twin", (G2, I2, I2)))
+    caps = {a.indices: c for a, c in report.ranking}
+    assert report.best.indices == (0, 1)
+    assert caps[(0, 1)] == caps[(0, 2)]
+    assert report.dominance_certified is False
