@@ -168,7 +168,7 @@ def cmd_search(args) -> tuple[dict | list, int]:
 
 def cmd_prove(args) -> tuple[dict | list, int]:
     from .poly import EPS, Poly
-    from .proofcheck import certify_difference, certify_gain, check_gain_level
+    from .proofcheck import certify_difference, certify_gain, check_gain_level, check_sample
 
     if args.t == []:
         raise ValueError("--t lists no level counts")
@@ -181,10 +181,11 @@ def cmd_prove(args) -> tuple[dict | list, int]:
         check_gain_level(t)
         if t in args.t[:k]:
             raise ValueError(f"level count {t} repeated")
+    check_sample(args.sample)
     certificates = []
     all_certified = True
     if args.custom is not None:
-        cert = certify_difference(Poly(args.custom))
+        cert = certify_difference(Poly(args.custom), sample=args.sample)
         certificates.append({"kind": "custom", **cert.to_json_dict()})
         all_certified &= cert.certified
     for t in args.t or []:

@@ -7,22 +7,22 @@ sub-codewords is decoded first, using partner estimates assembled from the
 second-half legs of blocks whose bottom kernels match; once known, it is
 subtracted and the later half is decoded from everything that carries it.
 
-That decoder is written once: ``_walk`` is its schedule and ``_SC`` its one
-op set.  Messages are (values, erased) row-int pairs with ``lanes`` bits per
-symbol, one pattern per bit of a lane.  A check combine XORs the values and
-erases where either input is erased; a variable combine takes each symbol
-from the first input that knows it and erases only where all inputs are
-erased (known symbols never conflict over an erasure channel); interference
-removal XORs in the re-encoded earlier half.  ``sc_decode`` is the decoder
-with one lane.  Erasure propagation does not depend on the transmitted
-values, so the erasure flow (``_flow``: ``erasure_flow``, the oracle, the
-Monte Carlo and ``decode_operation_count``) is the same decoder on all-zero
-values, with one lane per erasure pattern, deciding all patterns in one
-walk; it also counts the symbol-level combines of one decode, so the
-operation count is that of the walk the decoder actually runs.  ``encode``
-and the interference removal share one encoder, ``patterns.apply_kernel``
-down a kernel tree: the polar transform's tree for the inner code, each
-block's kernel for the blocks.
+That decoder is written once, ``_decode``: one walk over the kernel tree
+that makes its combines itself.  Messages are (values, erased) row-int pairs
+with ``lanes`` bits per symbol, one pattern per bit of a lane.  A check
+combine XORs the values and erases where either input is erased; a variable
+combine takes each symbol from the first input that knows it and erases only
+where all inputs are erased (known symbols never conflict over an erasure
+channel); interference removal XORs in the re-encoded earlier half.
+``sc_decode`` is the decoder with one lane.  Erasure propagation does not
+depend on the transmitted values, so the erasure flow (``_flow``:
+``erasure_flow``, the oracle, the Monte Carlo and
+``decode_operation_count``) is the same decoder on all-zero values, with one
+lane per erasure pattern, deciding all patterns in one walk; it also counts
+the symbol-level combines of one decode, so the operation count is that of
+the walk the decoder actually runs.  ``encode`` and the interference removal
+share one encoder, ``patterns.apply_kernel`` down a kernel tree: the polar
+transform's tree for the inner code, each block's kernel for the blocks.
 
 The exact oracle builds the lanes of all 2**N patterns of a short code
 directly and counts each bit's failures per pattern weight to get exact
@@ -216,54 +216,6 @@ def encode(spec: CodeSpec, info_bits: Sequence[int]) -> list[tuple[int, ...]]:
     return [apply_kernel(kern, subwords) for kern in spec.kernels()]
 
 
-# -- the kernel-tree carrier walk --------------------------------------------
-
-def _walk(carriers: list[tuple[Kernel, Any]], ops: Any, first: int = 0) -> list:
-    """Successive-cancellation schedule over the kernel tree.
-
-    Each carrier is (kernel, message) for a block or a leg derived from one,
-    over the sub-codewords ``first``, ``first + 1``, ...; a message has one
-    row per kernel position along its first axis.  ``ops`` supplies
-    ``merge`` (variable combine), ``check`` (check combine with a partner
-    estimate), ``cancel`` (interference removal given the decoded earlier
-    half) and ``leaf`` (inner decoding).  Returns one leaf result per
-    sub-codeword, in order.
-    """
-    if carriers[0][0].a is None:
-        return [ops.leaf(ops.merge([msg for _, msg in carriers]), first)]
-    h = carriers[0][0].a.size
-
-    # Partner estimates: one per distinct bottom kernel, from every carrier
-    # whose bottom kernel matches.
-    estimates: dict[Kernel, Any] = {}
-    for kern, _msg in carriers:
-        if kern.e and kern.b not in estimates:
-            estimates[kern.b] = ops.merge(
-                [msg[h:] for other, msg in carriers if other.b == kern.b]
-            )
-
-    earlier = [
-        (kern.a, ops.check(msg[:h], estimates[kern.b]) if kern.e else msg[:h])
-        for kern, msg in carriers
-    ]
-    del estimates  # not read again: free them before the earlier half decodes
-    known = _walk(earlier, ops, first)
-    del earlier  # its check outputs: free them before the later half decodes
-    later = []
-    for kern, msg in carriers:
-        later.append((kern.b, msg[h:]))
-        if kern.e:
-            later.append((kern.b, ops.cancel(msg[:h], kern.a, known)))
-    return known + _walk(later, ops, first + h)
-
-
-def _carriers(spec: CodeSpec, rows: Any) -> list[tuple[Kernel, Any]]:
-    """Pair each block's kernel with its r message rows (block b owns rows
-    b*r to b*r + r - 1 of ``rows``)."""
-    r = spec.r
-    return [(kern, rows[b * r : (b + 1) * r]) for b, kern in enumerate(spec.kernels())]
-
-
 # -- the SC decoder ---------------------------------------------------------
 
 def _inner_sc(
@@ -291,49 +243,68 @@ def _merge(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return v ^ ((v ^ w) & e), e & f
 
 
-class _SC:
-    """The decoder's op set.  Messages are lists of (values, erased) row-int
+def _decode(spec: CodeSpec, rows: list, lanes: int) -> tuple[list[tuple[int, int]], int]:
+    """(value, erased) lanes of every u-bit, given the r*r (values, erased)
+    row ints of the received blocks (row q holds symbols q*inner_len
+    onwards), and the combine count of one decode.
+
+    The walk follows the kernel tree.  Each carrier is (kernel, message) for
+    a block or a leg derived from one, over the sub-codewords ``first``,
+    ``first + 1``, ...; a message is a list of (values, erased) row-int
     pairs, one per kernel position: a row holds the lanes of its ``width``
     symbols, symbol i at bits i*lanes to (i+1)*lanes - 1, and bit s of a lane
     for pattern s.  A value bit means nothing where its symbol is erased.  A
     leaf yields each u-bit's (value, erased) lanes and the re-encoded
-    sub-codeword, which ``cancel`` needs.
+    sub-codeword, which the interference removal needs.
 
     Every combine adds the symbol-level operation count of one decode to
     ``ops``, whatever the number of lanes; the inner decoder of a leaf costs
-    ``width * log2(width)``."""
+    ``width * log2(width)``.
+    """
+    frozen, width, r = set(spec.frozen), spec.inner_len, spec.r
+    ops = 0
 
-    def __init__(self, frozen: set[int], width: int, lanes: int):
-        self.frozen = frozen
-        self.width = width
-        self.lanes = lanes
-        self.ops = 0
+    def merge(msgs: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
+        nonlocal ops
+        ops += (len(msgs) - 1) * len(msgs[0]) * width
+        return [functools.reduce(_merge, aligned) for aligned in zip(*msgs)]
 
-    def merge(self, msgs):
-        self.ops += (len(msgs) - 1) * len(msgs[0]) * self.width
-        return [functools.reduce(_merge, rows) for rows in zip(*msgs)]
+    def walk(carriers: list[tuple[Kernel, list]], first: int) -> list:
+        nonlocal ops
+        if carriers[0][0].a is None:
+            ops += width * (width.bit_length() - 1)
+            return [_inner_sc(*merge([msg for _, msg in carriers])[0], width, lanes, frozen,
+                              first * width)]
+        h = carriers[0][0].a.size
+        # Each polarizing carrier costs one check combine and one
+        # interference removal over its h earlier rows.
+        ops += 2 * h * width * sum(kern.e for kern, _ in carriers)
 
-    def check(self, msg, estimate):
-        self.ops += len(msg) * self.width
-        return [(v ^ w, e | f) for (v, e), (w, f) in zip(msg, estimate)]
+        # Partner estimates: one per distinct bottom kernel, from every carrier
+        # whose bottom kernel matches.
+        estimates: dict[Kernel, list] = {}
+        for kern, _msg in carriers:
+            if kern.e and kern.b not in estimates:
+                estimates[kern.b] = merge([msg[h:] for other, msg in carriers if other.b == kern.b])
 
-    def cancel(self, msg, a: Kernel, known):
-        self.ops += len(msg) * self.width
-        coded = apply_kernel(a, [(x,) for _, x in known])
-        return [(v ^ x, e) for (v, e), x in zip(msg, coded)]
+        earlier = [
+            (kern.a, [(v ^ w, e | f) for (v, e), (w, f) in zip(msg[:h], estimates[kern.b])]
+             if kern.e else msg[:h])
+            for kern, msg in carriers
+        ]
+        del estimates  # not read again: free them before the earlier half decodes
+        known = walk(earlier, first)
+        del earlier  # its check outputs: free them before the later half decodes
+        later = []
+        for kern, msg in carriers:
+            later.append((kern.b, msg[h:]))
+            if kern.e:
+                later.append((kern.b, [(v ^ x, e) for (v, e), x in zip(
+                    msg[:h], apply_kernel(kern.a, [(coded,) for _, coded in known]))]))
+        return known + walk(later, first + h)
 
-    def leaf(self, msg, j: int):
-        self.ops += self.width * (self.width.bit_length() - 1)
-        return _inner_sc(*msg[0], self.width, self.lanes, self.frozen, j * self.width)
-
-
-def _decode(spec: CodeSpec, rows: list, lanes: int) -> tuple[list[tuple[int, int]], int]:
-    """(value, erased) lanes of every u-bit, given the r*r (values, erased)
-    row ints of the received blocks (row q holds symbols q*inner_len
-    onwards), and the combine count of one decode."""
-    sc = _SC(set(spec.frozen), spec.inner_len, lanes)
-    leaves = _walk(_carriers(spec, rows), sc)
-    return [bit for bits, _ in leaves for bit in bits], sc.ops
+    leaves = walk([(kern, rows[b * r : (b + 1) * r]) for b, kern in enumerate(spec.kernels())], 0)
+    return [bit for bits, _ in leaves for bit in bits], ops
 
 
 def sc_decode(spec: CodeSpec, received: Sequence[int | None]) -> list[int]:

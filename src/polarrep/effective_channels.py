@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .channel_algebra import bit_combine, check_combine, repeat_channel
 from .patterns import Kernel, PatternAssignment, PatternFamily
@@ -131,38 +131,29 @@ def coded_repetition_scheme(t: int) -> EffectiveChannelSet:
 
 # -- design analysis for arbitrary assignments -------------------------------
 
-def _lone_check(z: Poly) -> Poly:
-    return check_combine(z, z * z)
-
-
-def _merged_check(z: Poly) -> Poly:
-    return check_combine(z, z)
-
-
-def _factor(kern: Kernel, z: Poly, k: int, check: Callable[[Poly], Poly]) -> Poly:
+def _factor(kern: Kernel, z: Poly, k: int, lone: bool) -> Poly:
     """Design factor of sub-codeword k through one kernel's tree.
 
-    A polarizing level sends the earlier half to ``check(z)`` and the later
-    half to z**2; non-polarizing levels pass z through.  The check map is the
-    one place lone and merged blocks differ:
+    A polarizing level sends the earlier half to a check combine with the
+    partner's channel and the later half to z**2; non-polarizing levels pass
+    z through.  The partner is the one place lone and merged blocks differ:
 
-    * a lone block (``_lone_check``) sends the earlier half to
-      check(z, z**2) -- the partner is budgeted two uses of the current
-      channel, its own leg plus one repetition leg, which is what makes one
-      polarized block plus plain repetitions come out as the single-pattern
-      recursion;
-    * a group of identical blocks, seeded with z = eps**mult
-      (``_merged_check``), is plain repetition of its codeword, so the
-      aligned legs fuse into a single channel and the block polarizes with
-      the standard map check(z, z).  This is exact, matching both the
-      decoder and the length-one repetition scheme.
+    * a lone block sends the earlier half to check(z, z**2) -- the partner
+      is budgeted two uses of the current channel, its own leg plus one
+      repetition leg, which is what makes one polarized block plus plain
+      repetitions come out as the single-pattern recursion;
+    * a group of identical blocks, seeded with z = eps**mult, is plain
+      repetition of its codeword, so the aligned legs fuse into a single
+      channel and the block polarizes with the standard map check(z, z).
+      This is exact, matching both the decoder and the length-one
+      repetition scheme.
     """
     if kern.a is None:
         return z
     h = kern.a.size
     if k < h:
-        return _factor(kern.a, check(z) if kern.e else z, k, check)
-    return _factor(kern.b, z * z if kern.e else z, k - h, check)
+        return _factor(kern.a, check_combine(z, z * z if lone else z) if kern.e else z, k, lone)
+    return _factor(kern.b, z * z if kern.e else z, k - h, lone)
 
 
 @cache
@@ -172,9 +163,7 @@ def _design_factor(kern: Kernel, mult: int, k: int) -> Poly:
     It depends only on (kern, mult, k), so every candidate of a search reads
     one table: reg8's 6,435 candidates need at most 512 entries.
     """
-    if mult == 1:
-        return _factor(kern, EPS, k, _lone_check)
-    return _factor(kern, EPS**mult, k, _merged_check)
+    return _factor(kern, EPS**mult, k, mult == 1)
 
 
 def _kernel_groups(

@@ -173,7 +173,7 @@ def family_by_name(name: str) -> PatternFamily:
 def kernel_ref(ref: str) -> tuple[PatternFamily, int, Kernel]:
     """Resolve a ``family:index`` string such as ``reg4:0`` or ``irr4:7``."""
     family_name, sep, index_text = ref.partition(":")
-    if not sep or not index_text.isdigit():
+    if not sep or not index_text.isdecimal():
         raise ValueError(f"kernel reference must look like 'reg4:0', got {ref!r}")
     family = family_by_name(family_name)
     index = int(index_text)

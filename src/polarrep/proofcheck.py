@@ -86,9 +86,7 @@ def certify_difference(
     roots are excluded by Budan's 0-1 test; a Sturm chain counts them only
     where sign variations remain.
     """
-    sample = Fraction(sample)
-    if not 0 < sample < 1:
-        raise ValueError(f"interior sample must lie in (0, 1), got {sample}")
+    sample = check_sample(sample)
     endpoints = (difference.evaluate(0), difference.evaluate(1))
     variations = None if difference.is_zero() else budan_variations(difference)
     if variations is None:
@@ -106,6 +104,14 @@ def certify_difference(
     )
     return GainCertificate(r, difference, endpoints, (sample, value), roots, verdict, method,
                            variations, chain)
+
+
+def check_sample(sample: Fraction) -> Fraction:
+    """The interior sample as a ``Fraction``, refused outside (0, 1)."""
+    sample = Fraction(sample)
+    if not 0 < sample < 1:
+        raise ValueError(f"interior sample must lie in (0, 1), got {sample}")
+    return sample
 
 
 def check_gain_level(t: int) -> None:

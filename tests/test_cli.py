@@ -118,6 +118,10 @@ def test_prove_custom_zero_refuted(capsys):
     code, doc = run_json(capsys, "prove", "--custom", "0")
     assert code == 1
     assert doc["certificates"][0]["verdict"] == "refuted"
+    # --sample reaches the custom certificate as it does the gain ones.
+    code, doc = run_json(capsys, "prove", "--custom=-1,1", "--sample", "1/3")
+    assert code == 1
+    assert doc["certificates"][0]["interior_sample"] == {"eps": "1/3", "value": "-2/3"}
 
 
 def test_prove_custom_drops_empty_parts(capsys):
@@ -310,6 +314,8 @@ def test_config_grid_ignored_by_simulate(tmp_path, capsys):
                      id="sample-zero-denominator"),
         pytest.param(["prove", "--custom", "1,2/0"], "zero denominator",
                      id="custom-zero-denominator"),
+        pytest.param(["prove", "--custom=-1,1", "--sample", "0"],
+                     "interior sample must lie in (0, 1), got 0", id="custom-sample-zero"),
         pytest.param(["search", "--family", "reg2", "--grid", ","], "--grid lists no points",
                      id="search-empty-grid"),
         pytest.param(["search", "--family", "reg4", "--grid", "1/20,1/20,1/20,1/20,19/20",
@@ -326,6 +332,8 @@ def test_config_grid_ignored_by_simulate(tmp_path, capsys):
         pytest.param(["prove", "--t", "1,1"], "level count 1 repeated", id="prove-repeated-t"),
         pytest.param(["kernels", "--refs", ","], "--refs lists no kernels",
                      id="kernels-empty-refs"),
+        pytest.param(["kernels", "--refs", "reg4:²"], "kernel reference must look like 'reg4:0'",
+                     id="kernels-superscript-index"),
         pytest.param(["prove", "--custom", "1/2,-1", "--t", ","], "--t lists no level counts",
                      id="prove-empty-t"),
         pytest.param(["prove", "--custom", ","], "--custom lists no coefficients",
@@ -563,8 +571,9 @@ def test_curves_r_bound_admits_128(monkeypatch, capsys):
         (["curves", "--r", "2,4,2"], "repetition count 2 repeated"),
         (["curves", "--r", "2,1"], "repetition count 1 has no polarized block: need r >= 2"),
         (["prove", "--t", "1,2,1"], "level count 1 repeated"),
+        (["prove", "--t", "1,2", "--sample", "1"], "interior sample must lie in (0, 1), got 1"),
     ],
-    ids=["curves-repeated-r", "curves-r1", "prove-repeated-t"],
+    ids=["curves-repeated-r", "curves-r1", "prove-repeated-t", "prove-sample-one"],
 )
 def test_list_refused_before_building(monkeypatch, capsys, argv, reason):
     def built(*args):

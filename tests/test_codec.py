@@ -72,6 +72,11 @@ GOLDEN_DECODE_SHAPES = [
 #: from the decoder whose variable combine ORed known values.
 GOLDEN_DECODES = "a12c7fc3f33fde1e5f212ff565700444d431469cc45d16b3d4dee9facb31918e"
 
+#: SHA-256 of the erasure flow's flags on 120 seeded patterns for each of four
+#: specs (reg8 at m=5, irr4 at m=6 with k=37, reg4 and reg2 at m=4), pinned
+#: from the decoder that called its combines through an op-set object.
+ERASURE_FLOWS = "446c920519a9c2f12d2c75579dd949ecbe7759249420327d29a5a0e787ac7d88"
+
 
 def fraction_design_values(per_subword, levels, eps):
     """Reference design erasures: the inner maps applied to ``Fraction``s."""
@@ -482,6 +487,24 @@ class TestScDecode:
         for patterns in ([[0] * spec.total_len, [0] * 15], np.zeros((2, 17), dtype=bool)):
             with pytest.raises(ValueError, match=f"expected {spec.total_len} symbols"):
                 erasure_flow(spec, patterns)
+
+    def test_erasure_flow_pinned(self):
+        # Above N = 16 no oracle exists, and sc_decode runs the same walk, so
+        # a flag wrong the same way in both would pass the comparison above.
+        rng = random.Random(23)
+        specs = [
+            oracle_spec(family_by_name("reg8"), PatternAssignment(range(8)), 5, 3),
+            design_code(6, 2, PatternAssignment([2, 5, 7, 7]), F(1, 2), 37,
+                        family_by_name("irr4")),
+            oracle_spec(family_by_name("reg4"), PatternAssignment([0, 3, 3, 3]), 4, 2),
+            oracle_spec(REG2, A01, 4, 1),
+        ]
+        lines = []
+        for spec in specs:
+            patterns = [[rng.random() < p for _ in range(spec.total_len)]
+                        for p in (0.2, 0.4, 0.6) for _ in range(40)]
+            lines += ["".join("01"[f] for f in row) for row in erasure_flow(spec, patterns)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ERASURE_FLOWS
 
 
 class TestOracle:

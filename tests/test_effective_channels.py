@@ -1,5 +1,6 @@
 """Design channels: the level recursion, scheme, and assignment analysis."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -218,3 +219,21 @@ def test_range_preservation_every_assignment():
                 assert z.evaluate(0) == 0 and z.evaluate(1) == 1
                 for g in coarse:
                     assert 0 <= z.evaluate(g) <= 1
+
+
+#: sha256 of every design factor's coefficient strings, recorded while the
+#: factor walk took the lone and merged check maps as callables.
+DESIGN_FACTORS = "f4508c4890994eb3c3d6c158301ab97b01bbde5e9cc1ad2e8605167f01b3b17e"
+
+
+def test_design_factors_pinned():
+    from polarrep.effective_channels import _design_factor
+
+    factors = []
+    for name in ("reg2", "reg4", "irr4", "reg8"):
+        fam = family_by_name(name)
+        for kern in fam.members:
+            for mult in range(1, fam.size + 1):
+                for k in range(fam.size):
+                    factors.append(",".join(_design_factor(kern, mult, k).to_strings()))
+    assert hashlib.sha256("\n".join(factors).encode()).hexdigest() == DESIGN_FACTORS
