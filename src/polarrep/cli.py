@@ -24,7 +24,6 @@ and a value for a flag the command lacks is ignored.
 from __future__ import annotations
 
 import argparse
-import csv
 import decimal
 import functools
 import io
@@ -78,6 +77,8 @@ def _exact(n: int, d: int) -> str:
 def _emit(payload, args) -> None:
     """Write a command's document: a list of rows as CSV, a dict as JSON."""
     if isinstance(payload, list):
+        import csv  # only CSV documents load it
+
         buf = io.StringIO()
         csv.writer(buf).writerows(payload)
         text = buf.getvalue()
@@ -312,7 +313,6 @@ def _simulate_family(args):
 
 def cmd_simulate(args) -> tuple[dict | list, int]:
     from . import codec
-    from .effective_channels import assignment_erasures
     from .patterns import PatternAssignment
 
     _require(args, "m", "assign")
@@ -349,13 +349,13 @@ def cmd_simulate(args) -> tuple[dict | list, int]:
     design_eps = args.design_eps if args.design_eps is not None else eps
     spec = codec.design_code(m, t, assignment, design_eps, k, family)
     report = codec.monte_carlo(spec, eps, trials, seed=seed)
-    per = assignment_erasures(assignment, family).per_subword
+    values = codec.design_erasures(assignment, family, eps)
     if args.exact:
-        design = codec.synthetic_erasure_ratios(per, m - t, eps)
+        design = codec.synthetic_erasure_ratios(values, m - t)
     elif spec.design_eps == eps:
         floats = spec.design_floats
     else:
-        floats = codec.design_ranking(per, m - t, eps, 0)[0]
+        floats = codec.design_ranking(values, m - t, 0)[0]
     if args.format == "csv":
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)

@@ -27,8 +27,10 @@ transform's tree for the inner code, each block's kernel for the blocks.
 The exact oracle builds the lanes of all 2**N patterns of a short code
 directly and counts each bit's failures per pattern weight to get exact
 per-bit erasure polynomials; it is the ground truth the design analysis in
-:mod:`polarrep.effective_channels` is compared against.  The Monte Carlo
-draws its row ints directly as exact Bernoulli(eps) bits from
+:mod:`polarrep.effective_channels` is compared against.  A design needs only
+the sub-channel erasures at its point (``design_erasures``), so only the
+oracle and ``synthetic_polynomials`` load the polynomial modules.  The
+Monte Carlo draws its row ints directly as exact Bernoulli(eps) bits from
 ``random.Random(seed).getrandbits`` and counts failures by popcount;
 ``erasure_flow`` packs its patterns' lanes into rows as the oracle does.
 """
@@ -36,20 +38,23 @@ draws its row ints directly as exact Bernoulli(eps) bits from
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import random
 from fractions import Fraction
-from typing import Any, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from .effective_channels import _kernel_groups, assignment_erasures
-from .patterns import LEAF, Kernel, PatternAssignment, PatternFamily, _Record, apply_kernel
+from .patterns import (LEAF, Kernel, PatternAssignment, PatternFamily, _factor, _kernel_groups,
+                       _Record, apply_kernel)
 from .polarize import (  # all three design erasure forms are read from codec
     _polarize,
     design_ranking,
     synthetic_erasure_ratios,
     synthetic_erasure_values,
 )
-from .poly import EPS, Poly
+
+if TYPE_CHECKING:  # the polynomial modules load only for the oracle and polynomials
+    from .poly import Poly
 
 #: Full enumeration of 2**N erasure patterns stays cheap up to this length.
 #: Total lengths r * 2**m are powers of two, so the next length, 32, is the
@@ -143,8 +148,22 @@ class CodeSpec(_Record):
 
 def synthetic_polynomials(spec: CodeSpec) -> list[Poly]:
     """Exact design erasure polynomial of every u-bit of the code."""
+    from .effective_channels import assignment_erasures
+    from .poly import Poly
+
     per = assignment_erasures(spec.assignment, spec.family).per_subword
     return _polarize(list(per), spec.m - spec.t, Poly.one())
+
+
+def design_erasures(
+    assignment: PatternAssignment, family: PatternFamily, eps: Fraction
+) -> list[Fraction]:
+    """Design erasure of every sub-channel at ``eps``, exactly: the design
+    factor walk (``patterns._factor``) on the point itself, which gives the
+    erasure polynomials evaluated there without building them."""
+    groups = _kernel_groups(assignment, family)
+    return [math.prod(_factor(kern, eps**mult, k, mult == 1) for kern, mult in groups)
+            for k in range(family.size)]
 
 
 def _check_shape(m: int, t: int, assignment: PatternAssignment, family: PatternFamily) -> None:
@@ -183,8 +202,8 @@ def design_code(
     design_eps = Fraction(design_eps)
     if not 0 <= design_eps <= 1:
         raise ValueError(f"design erasure must lie in [0, 1], got {design_eps}")
-    per = assignment_erasures(assignment, family).per_subword
-    floats, frozen = design_ranking(per, m - t, design_eps, (1 << m) - k)
+    values = design_erasures(assignment, family, design_eps)
+    floats, frozen = design_ranking(values, m - t, (1 << m) - k)
     return CodeSpec(m, t, family, assignment, design_eps, k, frozen, tuple(floats))
 
 
@@ -231,6 +250,10 @@ def _inner_sc(
     shift = h * lanes
     mask = (1 << shift) - 1
     v0, v1, e0, e1 = values & mask, values >> shift, erased & mask, erased >> shift
+    if h == 1:  # both leaves inline: half the calls of recursing to width 1
+        x0 = 0 if bit_offset in frozen else v0 ^ v1
+        x1 = 0 if bit_offset + 1 in frozen else v1 ^ ((v1 ^ v0 ^ x0) & e1)
+        return [(x0, e0 | e1), (x1, e0 & e1)], (x0 ^ x1) | x1 << shift
     del mask  # as wide as half the row: free it before the recursion
     bits0, x0 = _inner_sc(v0 ^ v1, e0 | e1, h, lanes, frozen, bit_offset)
     bits1, x1 = _inner_sc(v1 ^ ((v1 ^ v0 ^ x0) & e1), e0 & e1, h, lanes, frozen, bit_offset + h)
@@ -394,6 +417,8 @@ def exact_erasure_oracle(spec: CodeSpec) -> list[Poly]:
     (the oracle characterizes channels, not one code) and a total length of
     at most ORACLE_MAX_BITS.
     """
+    from .poly import EPS, Poly
+
     n_sym = spec.total_len
     if spec.k != spec.n:
         raise ValueError("oracle requires a spec with all bits unfrozen")
@@ -623,6 +648,9 @@ def compare_oracle_with_analysis(
     sub-codeword.  Sub-codeword channels are inner polarized so both sides
     describe the same 2**m bits.
     """
+    from .effective_channels import assignment_erasures
+    from .poly import Poly
+
     spec = oracle_spec(family, assignment, m, t)
     if analysis is None:
         analysis = assignment_erasures(assignment, family).per_subword

@@ -17,9 +17,10 @@ they can be cross-checked:
   bakes into its odd-child map).  This reproduces the closed-form
   effective-channel expressions of the best known patterns and reduces to
   the exact decoder analysis for two repetitions and for pure-repetition
-  assignments.  Each factor depends only on (kernel, multiplicity,
-  sub-codeword), so it is computed once (``_design_factor``) and shared by
-  every assignment and by the search's grid ranking.
+  assignments.  Each factor (the walk ``patterns._factor`` on ``EPS``)
+  depends only on (kernel, multiplicity, sub-codeword), so it is computed
+  once (``_design_factor``) and shared by every assignment and by the
+  search's grid ranking.
 * ``reference_expression_set`` -- fixed transcriptions of the known
   closed-form effective-channel expressions for the best four-repetition
   patterns, written with the check, bit and repetition transforms of
@@ -34,13 +35,12 @@ weight for four.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from fractions import Fraction
 from typing import NamedTuple
 
 from .channel_algebra import bit_combine, check_combine, repeat_channel
-from .patterns import Kernel, PatternAssignment, PatternFamily
+from .patterns import Kernel, PatternAssignment, PatternFamily, _factor, _kernel_groups
 from .poly import EPS, ONE, Poly
 
 
@@ -131,31 +131,6 @@ def coded_repetition_scheme(t: int) -> EffectiveChannelSet:
 
 # -- design analysis for arbitrary assignments -------------------------------
 
-def _factor(kern: Kernel, z: Poly, k: int, lone: bool) -> Poly:
-    """Design factor of sub-codeword k through one kernel's tree.
-
-    A polarizing level sends the earlier half to a check combine with the
-    partner's channel and the later half to z**2; non-polarizing levels pass
-    z through.  The partner is the one place lone and merged blocks differ:
-
-    * a lone block sends the earlier half to check(z, z**2) -- the partner
-      is budgeted two uses of the current channel, its own leg plus one
-      repetition leg, which is what makes one polarized block plus plain
-      repetitions come out as the single-pattern recursion;
-    * a group of identical blocks, seeded with z = eps**mult, is plain
-      repetition of its codeword, so the aligned legs fuse into a single
-      channel and the block polarizes with the standard map check(z, z).
-      This is exact, matching both the decoder and the length-one
-      repetition scheme.
-    """
-    if kern.a is None:
-        return z
-    h = kern.a.size
-    if k < h:
-        return _factor(kern.a, check_combine(z, z * z if lone else z) if kern.e else z, k, lone)
-    return _factor(kern.b, z * z if kern.e else z, k - h, lone)
-
-
 @cache
 def _design_factor(kern: Kernel, mult: int, k: int) -> Poly:
     """Factor of sub-codeword k contributed by ``mult`` blocks of one kernel.
@@ -164,18 +139,6 @@ def _design_factor(kern: Kernel, mult: int, k: int) -> Poly:
     one table: reg8's 6,435 candidates need at most 512 entries.
     """
     return _factor(kern, EPS**mult, k, mult == 1)
-
-
-def _kernel_groups(
-    assignment: PatternAssignment, family: PatternFamily
-) -> tuple[tuple[Kernel, int], ...]:
-    """The assignment's distinct kernels, each with its number of blocks."""
-    kernels = assignment.kernels(family)
-    if assignment.r != family.size:
-        raise ValueError(
-            f"assignment has {assignment.r} blocks but kernels have size {family.size}"
-        )
-    return tuple(Counter(kernels).items())
 
 
 def assignment_erasures(

@@ -1,4 +1,5 @@
-"""Kernel and pattern-family construction, plus per-block encoding.
+"""Kernel and pattern-family construction, per-block encoding, and the
+design factor walk down a kernel tree (``_factor``).
 
 A kernel is applied at the outer recursion levels of one repetition block.
 Every kernel is a recursion tree K(e, A, B): the block matrix
@@ -21,6 +22,7 @@ Two families are provided:
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -207,6 +209,41 @@ class PatternAssignment(_Record):
 
     def label(self) -> str:
         return "{" + ",".join(str(i) for i in self.indices) + "}"
+
+
+def _kernel_groups(
+    assignment: PatternAssignment, family: PatternFamily
+) -> tuple[tuple[Kernel, int], ...]:
+    """The assignment's distinct kernels, each with its number of blocks."""
+    kernels = assignment.kernels(family)
+    if assignment.r != family.size:
+        raise ValueError(
+            f"assignment has {assignment.r} blocks but kernels have size {family.size}"
+        )
+    return tuple(Counter(kernels).items())
+
+
+def _factor(kern: Kernel, z, k: int, lone: bool):
+    """Design factor of sub-codeword k through one kernel's tree, on an
+    erasure polynomial (``effective_channels``) or at a point
+    (``codec.design_erasures``).  A polarizing level sends the earlier half
+    to a check combine z + w - z*w with the partner's channel w and the
+    later half to z**2; other levels pass z through.  A lone block takes
+    w = z**2, budgeting the partner two uses of the channel (its own leg and
+    one repetition leg), so one polarized block plus plain repetitions is
+    the single-pattern recursion.  A group of identical blocks, seeded with
+    z = eps**mult, repeats its codeword, so the aligned legs fuse into one
+    channel and w = z: exact, matching the decoder and the length-one
+    repetition scheme."""
+    if kern.a is None:
+        return z
+    h = kern.a.size
+    if k >= h:
+        return _factor(kern.b, z * z if kern.e else z, k - h, lone)
+    if kern.e:
+        w = z * z if lone else z
+        z = z + w - z * w
+    return _factor(kern.a, z, k, lone)
 
 
 def apply_kernel(k: Kernel, subwords: Sequence[Sequence[int]]) -> tuple[int, ...]:

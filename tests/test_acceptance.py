@@ -202,9 +202,8 @@ def test_criterion_6_monte_carlo_consistency():
         spec = design_code(6, 1, assignment, F(1, 2), 32, fam)
         trials = 100_000
         report = monte_carlo(spec, F(1, 2), trials, seed=7)
-        design = synthetic_erasure_values(
-            assignment_erasures(assignment, fam).per_subword, 5, F(1, 2)
-        )
+        per = assignment_erasures(assignment, fam).per_subword
+        design = synthetic_erasure_values([z.evaluate(F(1, 2)) for z in per], 5)
         violations = 0
         for i in range(spec.n):
             p = float(design[i])

@@ -159,7 +159,8 @@ def test_simulate_design_erasures_at_eps(capsys):
     _, same = run_json(capsys, *argv)
     _, other = run_json(capsys, *argv, "--design-eps", "1/3")
     per = assignment_erasures(PatternAssignment([0, 1]), family_by_name("reg2")).per_subword
-    expected = [str(v) for v in synthetic_erasure_values(per, 2, Fraction(1, 2))]
+    values = [z.evaluate(Fraction(1, 2)) for z in per]
+    expected = [str(v) for v in synthetic_erasure_values(values, 2)]
     assert other["spec"]["design_eps"] == "1/3"
     assert same["design_erasures"] == other["design_erasures"] == expected
 
@@ -762,7 +763,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:] + ["--reproducible"])
 loaded = set(sys.modules) - before
 print(code, sorted(m for m in loaded if m.startswith("polarrep.")),
-      sorted(loaded & {"dataclasses", "inspect", "numpy"}))
+      sorted(loaded & {"csv", "dataclasses", "inspect", "numpy"}))
 """
 
 _ANALYSIS = ["channel_algebra", "effective_channels", "patterns", "poly"]
@@ -777,15 +778,16 @@ _CODEC = sorted(["codec", "polarize", *_ANALYSIS])
         (["curves", "--r", "2,4"], _ANALYSIS),
         (["analyze", "--family", "irr4", "--assign", "2,5,7,7"], _ANALYSIS),
         (["search", "--family", "reg2"], sorted(["search", *_ANALYSIS])),
-        (["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "64"], _CODEC),
+        (["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "64"],
+         ["codec", "patterns", "polarize"]),
         (["simulate", "--oracle", "--family", "irr4", "--m", "2", "--assign", "2,5,7,7"], _CODEC),
     ],
     ids=["kernels", "prove", "curves", "analyze", "search", "simulate", "oracle"],
 )
 def test_command_loads_only_its_modules(argv, modules):
     """Each command, in a fresh interpreter, loads the package, the command
-    line and the modules it runs, and neither ``dataclasses``, ``inspect``
-    nor numpy."""
+    line and the modules it runs, and neither ``csv``, ``dataclasses``,
+    ``inspect`` nor numpy."""
     done = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
                           text=True, env=_child_env(), timeout=120)
     assert done.returncode == 0, done.stderr

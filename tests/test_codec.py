@@ -78,6 +78,11 @@ GOLDEN_DECODES = "a12c7fc3f33fde1e5f212ff565700444d431469cc45d16b3d4dee9facb3191
 ERASURE_FLOWS = "446c920519a9c2f12d2c75579dd949ecbe7759249420327d29a5a0e787ac7d88"
 
 
+def at_point(per_subword, eps):
+    """The sub-channel design erasures at ``eps``, from their polynomials."""
+    return [z.evaluate(eps) for z in per_subword]
+
+
 def fraction_design_values(per_subword, levels, eps):
     """Reference design erasures: the inner maps applied to ``Fraction``s."""
     values = []
@@ -93,9 +98,8 @@ class TestDesignCode:
     def test_degenerate_inner(self):
         spec = design_code(1, 1, A01, F(1, 2), 2, REG2)
         assert spec.frozen == ()
-        values = synthetic_erasure_values(
-            assignment_erasures(A01, REG2).per_subword, 0, F(1, 2)
-        )
+        per = assignment_erasures(A01, REG2).per_subword
+        values = synthetic_erasure_values(at_point(per, F(1, 2)), 0)
         assert values == [F(5, 16), F(1, 8)]
         assert spec.design_floats == tuple(map(float, values))
 
@@ -194,10 +198,10 @@ class TestDesignCode:
         per = assignment_erasures(assignment, family).per_subword
         for eps in RATIO_EPS:
             expected = fraction_design_values(per, m - t, eps)
-            ratios = synthetic_erasure_ratios(per, m - t, eps)
+            ratios = synthetic_erasure_ratios(at_point(per, eps), m - t)
             assert ratios == [(v.numerator, v.denominator) for v in expected]
             assert all(math.gcd(n, d) == 1 for n, d in ratios)
-            assert synthetic_erasure_values(per, m - t, eps) == expected
+            assert synthetic_erasure_values(at_point(per, eps), m - t) == expected
 
     @pytest.mark.parametrize(
         "name, stride", [("reg2", 1), ("reg4", 1), ("irr4", 23)]
@@ -221,12 +225,12 @@ class TestDesignCode:
         "name, stride, m", [("reg2", 1, 8), ("reg4", 1, 6), ("irr4", 23, 7), ("reg8", 643, 8)]
     )
     def test_floats_are_the_rounded_ratios(self, monkeypatch, name, stride, m, extra_bits):
-        """The floats are the rounded ratios on ``BOUND_PREC``-digit bounds,
-        where a bit whose bounds straddle a rounding boundary is evaluated
-        exactly (reg4 {3,3,3,3} at eps=1/2 has four at a midpoint), and on
-        bounds 3000 bits wider, which decide every float here alone."""
-        digits = polarize.BOUND_PREC + math.ceil(extra_bits * math.log10(2))
-        monkeypatch.setattr(polarize, "BOUND_PREC", digits)
+        """The floats are the rounded ratios on ``MANTISSA_BITS``-bit
+        bounds, where a bit whose bounds straddle a rounding boundary is
+        evaluated exactly (reg4 {3,3,3,3} at eps=1/2 has four at a midpoint,
+        which its exact dyadic pass decides), and on bounds 3000 bits wider,
+        which decide every float here alone."""
+        monkeypatch.setattr(polarize, "MANTISSA_BITS", polarize.MANTISSA_BITS + extra_bits)
         path, exact = polarize._path_ratio, []
 
         def counted(*args):
@@ -239,8 +243,9 @@ class TestDesignCode:
         for assignment in enumerate_assignments(family, family.size)[::stride]:
             per = assignment_erasures(assignment, family).per_subword
             for eps in RATIO_EPS:
-                expected = [n / d for n, d in synthetic_erasure_ratios(per, m - t, eps)]
-                assert polarize.design_ranking(per, m - t, eps, 0)[0] == expected
+                values = at_point(per, eps)
+                expected = [n / d for n, d in synthetic_erasure_ratios(values, m - t)]
+                assert polarize.design_ranking(values, m - t, 0)[0] == expected
         if extra_bits:
             assert exact == []
 
@@ -250,23 +255,23 @@ class TestDesignCode:
     )
     def test_ties_ranked_on_bounds_and_exact_keys(self, monkeypatch, indices, m, eps):
         """Every cut up to m=7, and a sample at m=10, takes the exactly worst
-        bits, on bounds of 2, 3 and ``BOUND_PREC`` digits.  At m=10 and
+        bits, on mantissas of 7, 10 and ``MANTISSA_BITS`` bits.  At m=10 and
         eps=1/20 two pairs of ratios differ by less than one part in 10**40;
         at eps=0 all are equal."""
-        per = assignment_erasures(PatternAssignment(indices), REG2).per_subword
-        ratios = synthetic_erasure_ratios(per, m - 1, eps)
+        values = at_point(assignment_erasures(PatternAssignment(indices), REG2).per_subword, eps)
+        ratios = synthetic_erasure_ratios(values, m - 1)
         common = math.lcm(*{d for _, d in ratios})
         keys = [n * (common // d) for n, d in ratios]
         worst = sorted(range(1 << m), key=lambda i: (keys[i], i), reverse=True)
         cuts = range(1 << m) if m <= 7 else [*range(0, 1 << m, 61), 955, 989, 1023]
-        for prec in (2, 3, polarize.BOUND_PREC):
-            monkeypatch.setattr(polarize, "BOUND_PREC", prec)
+        for width in (7, 10, polarize.MANTISSA_BITS):
+            monkeypatch.setattr(polarize, "MANTISSA_BITS", width)
             for cut in cuts:
-                frozen = polarize.design_ranking(per, m - 1, eps, cut)[1]
-                assert frozen == tuple(sorted(worst[:cut])), (prec, cut)
+                frozen = polarize.design_ranking(values, m - 1, cut)[1]
+                assert frozen == tuple(sorted(worst[:cut])), (width, cut)
 
     def test_exact_fallback(self, monkeypatch):
-        """Two-digit bounds round to different floats at most bits, which
+        """Seven-bit bounds round to different floats at most bits, which
         are then evaluated exactly, and overlap at the cut: floats and
         frozen sets are unchanged."""
         cases = [(REG2, A01, 10, F(1, 20), k) for k in (1, 35, 69, 70, 512)]
@@ -281,7 +286,7 @@ class TestDesignCode:
             exact.append(args)
             return path(*args)
 
-        monkeypatch.setattr(polarize, "BOUND_PREC", 2)
+        monkeypatch.setattr(polarize, "MANTISSA_BITS", 7)
         monkeypatch.setattr(polarize, "_path_ratio", counted)
         for (f, a, m, eps, k), spec in zip(cases, designed):
             exact.clear()
@@ -294,7 +299,7 @@ class TestDesignCode:
         """reg2 {0,1} at m=10 and eps=1/20: 69 design erasures round to 0.0
         and 12 more are subnormal, so the floats tie where the exact values
         differ.  k = 1 and 35 cut inside the 0.0 run, k = 69 and 70 at its
-        edge, k = 512 far from it.  The 40-digit bounds keep their exponent,
+        edge, k = 512 far from it.  The mantissa bounds keep their exponent,
         so they separate these erasures and no bit is evaluated exactly."""
         path, exact = polarize._path_ratio, []
 
@@ -315,6 +320,56 @@ class TestDesignCode:
         zeros = [values[i] for i in range(n) if spec.design_floats[i] == 0.0]
         assert len(zeros) == len(set(zeros)) == 69
         assert sum(0.0 < x < 2.0**-1022 for x in spec.design_floats) == 12
+
+    @pytest.mark.parametrize("name, stride", [("reg2", 1), ("reg4", 1), ("irr4", 1)])
+    def test_design_erasures_are_the_polynomials_at_the_point(self, name, stride):
+        """The design factor walk on the point gives every sub-channel's
+        design erasure polynomial evaluated there, exactly."""
+        family = family_by_name(name)
+        for assignment in enumerate_assignments(family, family.size)[::stride]:
+            per = assignment_erasures(assignment, family).per_subword
+            for eps in RATIO_EPS:
+                assert codec.design_erasures(assignment, family, eps) == at_point(per, eps)
+
+    @pytest.mark.parametrize("name, stride", [("reg2", 1), ("reg4", 7), ("irr4", 83)])
+    def test_floor_pass_brackets_path_ratios(self, monkeypatch, name, stride):
+        """Every bit's exact erasure (``_path_ratio``) lies between the floor
+        pass's lower mantissa and that mantissa plus its slack, or 1, for
+        every m up to 9 and mantissas from 7 bits up."""
+        family = family_by_name(name)
+        t = family.size.bit_length() - 1
+        for width in (7, 10, polarize.MANTISSA_BITS):
+            monkeypatch.setattr(polarize, "MANTISSA_BITS", width)
+            for assignment in enumerate_assignments(family, family.size)[::stride]:
+                per = assignment_erasures(assignment, family).per_subword
+                for eps in [*RATIO_EPS, F(1, 1000), F(999, 1000)]:
+                    for value in at_point(per, eps):
+                        for levels in range(10 - t):
+                            slack = polarize._slack(value, levels)
+                            lows = polarize._floor_pass(value, levels)
+                            for i, (n, e) in enumerate(lows):
+                                p, q = polarize._path_ratio(value, levels, i)
+                                assert n * q <= p << e, (width, value, levels, i)
+                                if slack is None:
+                                    assert p <= q
+                                else:
+                                    assert p << e <= (n + slack) * q, (width, value, levels, i)
+
+    @pytest.mark.parametrize("eps, k, ceiling", [(F(9, 10), 3996, 450), (F(19, 20), 3584, 898)])
+    def test_cut_cluster_evaluations_bounded(self, monkeypatch, eps, k, ceiling):
+        """Near eps = 1 the cut falls inside a cluster of overlapping bounds,
+        whose bits are evaluated exactly.  For irr4 {2,5,7,7} at m = 12 the
+        mantissa bounds need no more of those evaluations than 40-digit
+        decimal bounds do (``ceiling``, 396 and 764 at 160 bits)."""
+        path, exact = polarize._path_ratio, []
+
+        def counted(*args):
+            exact.append(args)
+            return path(*args)
+
+        monkeypatch.setattr(polarize, "_path_ratio", counted)
+        design_code(12, 2, PatternAssignment([2, 5, 7, 7]), eps, k, family_by_name("irr4"))
+        assert 0 < len(exact) <= ceiling
 
     @pytest.mark.parametrize(
         "name, indices, m, eps, digest",
@@ -665,9 +720,8 @@ class TestMonteCarlo:
         spec = design_code(5, 1, A01, F(1, 2), 16, REG2)
         trials = 40_000
         report = monte_carlo(spec, F(1, 2), trials, seed=7)
-        design = synthetic_erasure_values(
-            assignment_erasures(A01, REG2).per_subword, 4, F(1, 2)
-        )
+        per = assignment_erasures(A01, REG2).per_subword
+        design = synthetic_erasure_values(at_point(per, F(1, 2)), 4)
         violations = 0
         for i in range(spec.n):
             p = float(design[i])
