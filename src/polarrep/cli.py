@@ -39,16 +39,22 @@ if TYPE_CHECKING:
     from .poly import Poly
 
 
-class _ZeroDenominator(Exception):
-    """A rational with a zero denominator.  Not a ``ValueError``, so argparse
-    lets it through from a type converter and ``main`` reports it as JSON."""
+class _BadRational(Exception):
+    """A rational with a zero denominator or more digits than ``str`` prints.
+    Not a ``ValueError``: argparse lets it through, and ``main`` reports it."""
 
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
-        raise _ZeroDenominator(f"{text!r} has a zero denominator") from None
+        raise _BadRational(f"{text!r} has a zero denominator") from None
+    try:
+        str(value)  # refused past sys.get_int_max_str_digits() digits, where there is a limit
+    except ValueError:
+        raise _BadRational(f"{text!r} has a numerator or denominator of more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
+    return value
 
 
 def _comma_list(convert):
@@ -485,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         payload, status = args.func(args)
         _emit(payload, args)
         return status
-    except (ValueError, OSError, _ZeroDenominator) as exc:
+    except (ValueError, OSError, _BadRational) as exc:
         sys.stderr.write(json.dumps({"status": "error", "reason": str(exc)}) + "\n")
         return 1
 

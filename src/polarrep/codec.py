@@ -158,11 +158,13 @@ def synthetic_polynomials(spec: CodeSpec) -> list[Poly]:
 def design_erasures(
     assignment: PatternAssignment, family: PatternFamily, eps: Fraction
 ) -> list[Fraction]:
-    """Design erasure of every sub-channel at ``eps``, exactly: the design
-    factor walk (``patterns._factor``) on the point itself, which gives the
-    erasure polynomials evaluated there without building them."""
+    """Design erasure of every sub-channel at ``eps`` = p/q, exactly: the
+    design factor walk (``patterns._factor``) on (p**mult, q**mult), which
+    gives the erasure polynomials there without building them, reduced once."""
     groups = _kernel_groups(assignment, family)
-    return [math.prod(_factor(kern, eps**mult, k, mult == 1) for kern, mult in groups)
+    p, q = eps.numerator, eps.denominator
+    return [Fraction(*map(math.prod, zip(*(_factor(kern, p**mult, q**mult, k, mult == 1)
+                                           for kern, mult in groups))))
             for k in range(family.size)]
 
 

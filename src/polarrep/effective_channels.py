@@ -17,10 +17,10 @@ they can be cross-checked:
   bakes into its odd-child map).  This reproduces the closed-form
   effective-channel expressions of the best known patterns and reduces to
   the exact decoder analysis for two repetitions and for pure-repetition
-  assignments.  Each factor (the walk ``patterns._factor`` on ``EPS``)
-  depends only on (kernel, multiplicity, sub-codeword), so it is computed
-  once (``_design_factor``) and shared by every assignment and by the
-  search's grid ranking.
+  assignments.  Each factor (the walk ``patterns._factor`` on ``EPS`` over
+  the unit polynomial) depends only on (kernel, multiplicity,
+  sub-codeword), so it is computed once (``_design_factor``) and shared by
+  every assignment.
 * ``reference_expression_set`` -- fixed transcriptions of the known
   closed-form effective-channel expressions for the best four-repetition
   patterns, written with the check, bit and repetition transforms of
@@ -135,10 +135,10 @@ def coded_repetition_scheme(t: int) -> EffectiveChannelSet:
 def _design_factor(kern: Kernel, mult: int, k: int) -> Poly:
     """Factor of sub-codeword k contributed by ``mult`` blocks of one kernel.
 
-    It depends only on (kern, mult, k), so every candidate of a search reads
-    one table: reg8's 6,435 candidates need at most 512 entries.
+    It depends only on (kern, mult, k), so every assignment reads one
+    table: reg8's 6,435 assignments need at most 512 entries.
     """
-    return _factor(kern, EPS**mult, k, mult == 1)
+    return _factor(kern, EPS**mult, ONE, k, mult == 1)[0]
 
 
 def assignment_erasures(

@@ -223,27 +223,30 @@ def _kernel_groups(
     return tuple(Counter(kernels).items())
 
 
-def _factor(kern: Kernel, z, k: int, lone: bool):
-    """Design factor of sub-codeword k through one kernel's tree, on an
-    erasure polynomial (``effective_channels``) or at a point
-    (``codec.design_erasures``).  A polarizing level sends the earlier half
-    to a check combine z + w - z*w with the partner's channel w and the
-    later half to z**2; other levels pass z through.  A lone block takes
-    w = z**2, budgeting the partner two uses of the channel (its own leg and
-    one repetition leg), so one polarized block plus plain repetitions is
-    the single-pattern recursion.  A group of identical blocks, seeded with
-    z = eps**mult, repeats its codeword, so the aligned legs fuse into one
-    channel and w = z: exact, matching the decoder and the length-one
-    repetition scheme."""
-    if kern.a is None:
-        return z
-    h = kern.a.size
-    if k >= h:
-        return _factor(kern.b, z * z if kern.e else z, k - h, lone)
-    if kern.e:
-        w = z * z if lone else z
-        z = z + w - z * w
-    return _factor(kern.a, z, k, lone)
+def _factor(kern: Kernel, n, d, k: int, lone: bool) -> tuple:
+    """Design factor n/d of sub-codeword k through one kernel's tree, walked
+    on an erasure polynomial over the unit ``Poly`` (``effective_channels``)
+    or on integers (p**mult, q**mult) for eps = p/q, where it ends as the
+    factor's form at (p, q) over q**deg (``search``, ``codec``).  A
+    polarizing level sends the earlier half to a check combine z + w - z*w
+    with the partner's channel w and the later half to z**2; other levels
+    pass z through.  A lone block takes w = z**2, budgeting the partner two
+    uses of the channel (its own leg and one repetition leg), so one
+    polarized block plus plain repetitions is the single-pattern recursion.
+    A group of identical blocks, seeded with z = eps**mult, repeats its
+    codeword, so the aligned legs fuse into one channel and w = z: exact,
+    matching the decoder and the length-one repetition scheme.  With
+    z = n/d these are n(d**2 + nd - n**2)/d**3, n(2d - n)/d**2, n**2/d**2."""
+    h = kern.size
+    while kern.a is not None:
+        h >>= 1
+        if kern.e and k < h:
+            square = d * d
+            n, d = (n * (square + n * d - n * n), square * d) if lone else (n * (d + d - n), square)
+        elif kern.e:
+            n, d = n * n, d * d
+        kern, k = (kern.a, k) if k < h else (kern.b, k - h)
+    return n, d
 
 
 def apply_kernel(k: Kernel, subwords: Sequence[Sequence[int]]) -> tuple[int, ...]:

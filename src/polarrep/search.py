@@ -2,22 +2,21 @@
 
 The number of candidate assignments is the number of multisets of size r
 over the family indices: C(|family| + r - 1, r).  Capacities are evaluated
-exactly on a grid of erasure probabilities, from one table of design factors
-(``effective_channels._design_factor``): each factor is evaluated once per
-grid point by an integer Horner pass, and every candidate's capacity there is
-an integer numerator over the point's one denominator.  Maxima, grid wins and
+exactly on a grid of erasure probabilities: the design factor walk
+``patterns._factor`` runs on integers once per (kernel, multiplicity,
+sub-codeword) and grid point, and every candidate's capacity there is an
+integer numerator over the point's one denominator.  Maxima, grid wins and
 the ranking's order are read from these integers; ``Fraction``s are built
 only for the report.  The winner is the assignment that maximizes capacity
 at every grid point simultaneously when such an assignment exists, and
 otherwise the one winning the most grid points.  A dominance certificate
-against every other candidate can be requested on top of the grid
-comparison, by Budan's 0-1 test on each difference.  Its transform
-(1 + x)**D H(1/(1 + x)) is the numerator's form at (1, 1 + x), so the same
-table, evaluated once more at x = 2**bits, packs every candidate's
-coefficients in signed slots; a difference with no sign variation has no
-root in (0, 1).  Only where variations remain are the two capacity
-polynomials built and ``proofcheck.certify_dominance`` run, whose Sturm count
-decides.  Otherwise the winner's is the one capacity polynomial built.
+against every other candidate can be requested on top, by Budan's 0-1 test
+on each difference.  Its transform (1 + x)**D H(1/(1 + x)) is the
+numerator's form at (1, 1 + x), so the same walk at x = 2**bits packs every
+candidate's coefficients in signed slots, and a difference whose slots do
+not hold both signs has no root in (0, 1).  Only otherwise are polynomials
+built (``proofcheck.certify_dominance`` decides by a Sturm count), so a
+search loads no polynomial module unless a certificate falls back.
 """
 
 from __future__ import annotations
@@ -25,17 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm, prod
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import DEFAULT_GRID, _check_grid  # defined by the package, which the command line reads
-from .effective_channels import (
-    EffectiveChannelSet,
-    _design_factor,
-    _kernel_groups,
-    assignment_erasures,
-)
-from .patterns import Kernel, PatternAssignment, PatternFamily
-from .poly import Poly, _variations
+from .patterns import Kernel, PatternAssignment, PatternFamily, _factor, _kernel_groups
 
 #: Largest candidate count a search enumerates: reg8 (6,435) fits, reg16
 #: (300,540,195) would not fit in memory.
@@ -49,10 +42,11 @@ class SearchReport(NamedTuple):
     candidates_evaluated: int
     ranking: tuple[tuple[PatternAssignment, tuple[Fraction, ...]], ...]
     best: PatternAssignment
-    best_channels: EffectiveChannelSet
     dominance_certified: bool = False
 
     def to_json_dict(self) -> dict:
+        # Candidates with equal capacities share one tuple, and one string list.
+        strings: dict[int, list[str]] = {}
         return {
             "family": self.family_kind,
             "r": self.r,
@@ -63,7 +57,8 @@ class SearchReport(NamedTuple):
             "ranking": [
                 {
                     "assignment": list(a.indices),
-                    "capacities": [str(c) for c in caps],
+                    "capacities": strings.get(id(caps)) or strings.setdefault(
+                        id(caps), [str(c) for c in caps]),
                 }
                 for a, caps in self.ranking
             ],
@@ -86,102 +81,98 @@ def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignme
     ]
 
 
-def _factor_table(
-    groups: list[tuple[tuple[Kernel, int], ...]], r: int
-) -> tuple[list[list[Poly]], list[list[int]]]:
-    """The design factors every candidate reads, and each candidate's rows.
-
-    Row i holds the r factors of one distinct (kernel, multiplicity) key; a
-    candidate's erasure at sub-codeword k is the product of column k over
-    its rows.
-    """
+def _factor_table(groups: list[tuple[tuple[Kernel, int], ...]], r: int) -> tuple:
+    """The distinct (kernel, multiplicity) keys, the degrees of each key's r
+    design factors (the walk at (0, 2**mult) ends over 2**degree), and each
+    candidate's rows: its erasure at sub-codeword k is the product of column
+    k over them."""
     position: dict[tuple[Kernel, int], int] = {}
     members = [[position.setdefault(key, len(position)) for key in g] for g in groups]
-    table = [[_design_factor(*key, k) for k in range(r)] for key in position]
-    return table, members
+    keys = list(position)
+    degrees = [
+        [_factor(kern, 0, 1 << mult, k, mult == 1)[1].bit_length() - 1 for k in range(r)]
+        for kern, mult in keys
+    ]
+    return keys, degrees, members
 
 
 def _grid_capacities(
-    table: list[list[Poly]], members: list[list[int]], r: int, points: list[tuple[int, int]]
+    keys: list[tuple[Kernel, int]], degrees: list[list[int]], members: list[list[int]],
+    r: int, points: list[tuple[int, int]],
 ) -> tuple[list[list[int]], int]:
     """Every candidate's capacity numerator at every point (p, q), as integers.
 
     Returns one column per point, one integer per candidate, and the degree
-    D they share.  Each design factor is an integer polynomial, evaluated
-    once per point by a homogeneous Horner pass and written as a form of
-    degree w, the largest degree among its row's factors.  A candidate's
-    erasure at sub-codeword k is then the product of its rows' values, M_k,
-    a form of degree d, the sum of their w, and its capacity numerator is
-    the degree-D form r q**D - q**(D - d) sum M_k.  At p/q in (0, 1) the
-    capacity is that integer over r**2 q**D.
+    D they share.  Each factor's form at (p, q) is written at degree w, the
+    largest in its row; a candidate's erasure at sub-codeword k is the
+    product M_k of its rows' values, of degree d the sum of their w, and its
+    capacity is r q**D - q**(D - d) sum M_k over r**2 q**D.
     """
-    widths = [max(f.degree for f in factors) for factors in table]
-    degrees = [sum(widths[i] for i in ids) for ids in members]
-    top = max(degrees)
+    widths = [max(row) for row in degrees]
+    sizes = [sum(widths[i] for i in ids) for ids in members]
+    top = max(sizes)
+    walks = [(kern, mult, mult == 1, [(k, w - deg) for k, deg in enumerate(row)])
+             for (kern, mult), row, w in zip(keys, degrees, widths)]
+    # A lone row comes with a row of ones, so every fetch returns a tuple of rows.
+    unit = len(keys)
+    fetch = [itemgetter(*ids, unit) if len(ids) == 1 else itemgetter(*ids) for ids in members]
+    ones = [1] * r
     columns = []
     for p, q in points:
-        values = [
-            [f.horner(p, q) * q ** (w - f.degree) for f in factors]
-            for factors, w in zip(table, widths)
-        ]
         qpow = [q**i for i in range(top + 1)]
+        values = []
+        for kern, mult, lone, shifts in walks:
+            n, d = p**mult, q**mult
+            values.append([_factor(kern, n, d, k, lone)[0] * qpow[s] for k, s in shifts])
+        values.append(ones)
         columns.append([
-            r * qpow[top] - qpow[top - d] * sum(map(prod, zip(*[values[i] for i in ids])))
-            for ids, d in zip(members, degrees)
+            r * qpow[top] - qpow[top - d] * sum(map(prod, zip(*get(values))))
+            for get, d in zip(fetch, sizes)
         ])
     return columns, top
 
 
-def _slot_bits(table: list[list[Poly]], members: list[list[int]], r: int, top: int) -> int:
-    """A slot width, in whole bytes, that holds every Budan coefficient of a
-    capacity difference.
-
-    At (1, 1 + x) a factor of l1 norm n contributes at most n 2**w to the
-    l1 norm of its form, so each coefficient of a numerator is at most
-    2**D (r + sum_k prod ||f||_1), and a difference's at most twice that.
-    """
-    norms = [[sum(map(abs, f.num)) for f in factors] for factors in table]
-    bound = max(sum(map(prod, zip(*[norms[i] for i in ids]))) for ids in members)
-    bits = (2 * (r + bound) << top).bit_length() + 1
-    return -(-bits // 8) * 8
+def _slot_bits(r: int, top: int) -> int:
+    """A slot width that holds every Budan coefficient of a capacity
+    difference of degree D = ``top``.  A design factor f has l1 norm at most
+    2**(2 deg f - 1), by induction over z + z**2 - z**3, 2z - z**2 and z**2
+    from eps**mult; so has a product of total degree at most D with 2D in
+    its place.  At (1, 1 + x) a degree-D form of norm a has norm at most
+    a 2**D, so a numerator's coefficients are at most r 2**D (1 + 2**(2D - 1))
+    and a difference's twice that."""
+    return (r * (1 + (1 << 2 * top - 1)) << top + 1).bit_length() + 1
 
 
-def _slots(value: int, bits: int, count: int) -> list[int]:
-    """The ``count`` signed ``bits``-wide digits c_j of value, highest first,
-    where value = sum c_j 2**(bits j) and every |c_j| < 2**(bits - 1).
-
-    Each digit is read biased by 2**(bits - 1), from whole bytes, so
-    ``bits`` must be a multiple of 8.
-    """
-    half = 1 << bits - 1
-    width = bits // 8
-    raw = (value + half * (((1 << bits * count) - 1) // ((1 << bits) - 1))).to_bytes(
-        width * count, "big"
-    )
-    return [int.from_bytes(raw[i:i + width], "big") - half for i in range(0, len(raw), width)]
+def _mixed_signs(value: int, tops: int, bits: int) -> bool:
+    """Whether value = sum c_j 2**(bits j), every |c_j| < 2**(bits - 1),
+    has a negative and a positive slot c_j, which a sign variation needs.
+    Adding ``tops``, the top bit of every slot, biases each slot to
+    c_j + 2**(bits - 1): its top bit is set exactly when c_j >= 0, and then
+    c_j > 0 when a lower bit is set too."""
+    biased = value + tops
+    signs = biased & tops
+    return signs != tops and bool(biased & (signs - (signs >> bits - 1)))
 
 
-def _dominates(
-    difference: int, bits: int, count: int, best_channels: EffectiveChannelSet,
-    other: PatternAssignment, family: PatternFamily,
-) -> bool:
+def _dominates(difference: int, tops: int, bits: int, best: PatternAssignment,
+               other: PatternAssignment, family: PatternFamily) -> bool:
     """Whether the winner's capacity certifiably exceeds ``other``'s on (0, 1).
 
     ``difference`` packs the Budan coefficients of their capacity difference
-    times (1 + x)**(D - n), n its degree; those extra factors never add sign
-    variations.  Zero is the same polynomial.  Zero variations prove there
-    is no root in (0, 1), and the winner, best at every grid point, is then
-    above everywhere.  Otherwise ``proofcheck.certify_dominance`` decides.
-    """
+    times (1 + x)**(D - n), n its degree, which adds no sign variation.  Zero
+    is the same polynomial.  Slots of one sign prove there is no root in
+    (0, 1), so the winner, best at every grid point, is above everywhere.
+    Otherwise ``proofcheck.certify_dominance`` decides on the two capacity
+    polynomials, built only here."""
     if not difference:
         return False
-    if not _variations(_slots(difference, bits, count)):
+    if not _mixed_signs(difference, tops, bits):
         return True
+    from .effective_channels import assignment_erasures
     from .proofcheck import certify_dominance
 
-    return certify_dominance(
-        best_channels.capacity_poly, assignment_erasures(other, family).capacity_poly
-    ) == "certified"
+    pair = [assignment_erasures(a, family).capacity_poly for a in (best, other)]
+    return certify_dominance(*pair) == "certified"
 
 
 def best_assignment(
@@ -205,9 +196,9 @@ def best_assignment(
 
     candidates = enumerate_assignments(family, r)
     assert len(candidates) == comb(len(family) + r - 1, r)
-    table, members = _factor_table([_kernel_groups(a, family) for a in candidates], r)
+    keys, degrees, members = _factor_table([_kernel_groups(a, family) for a in candidates], r)
     points = [(x.numerator, x.denominator) for x in map(Fraction, grid)]
-    columns, top = _grid_capacities(table, members, r, points)
+    columns, top = _grid_capacities(keys, degrees, members, r, points)
     numerators = list(zip(*columns))
     denominators = [r * r * q**top for _, q in points]
 
@@ -216,16 +207,16 @@ def best_assignment(
     # A dominant candidate wins every point, so it is preferred when one exists.
     best_i = min(range(len(candidates)), key=lambda i: (-wins[i], candidates[i].indices))
     best = candidates[best_i]
-    best_channels = assignment_erasures(best, family)
 
     certified = False
     if certify and wins[best_i] == len(grid):
         # At (1, 1 + x) each numerator is its Budan transform (1 + x)**D C(1/(1 + x)):
         # with x = 2**bits, one more column packs every candidate's coefficients.
-        bits = _slot_bits(table, members, r, top)
-        [packed], _ = _grid_capacities(table, members, r, [(1, 1 + (1 << bits))])
+        bits = _slot_bits(r, top)
+        tops = ((1 << bits * (top + 1)) - 1) // ((1 << bits) - 1) << bits - 1
+        [packed], _ = _grid_capacities(keys, degrees, members, r, [(1, 1 + (1 << bits))])
         certified = all(
-            _dominates(packed[best_i] - packed[i], bits, top + 1, best_channels, a, family)
+            _dominates(packed[best_i] - packed[i], tops, bits, best, a, family)
             for i, a in enumerate(candidates)
             if i != best_i
         )
@@ -236,11 +227,9 @@ def best_assignment(
     weights = [q_lcm // d for d in denominators]
     order = sorted(
         range(len(candidates)),
-        key=lambda i: (-sum(c * w for c, w in zip(numerators[i], weights)), candidates[i].indices),
+        key=lambda i: (-sum(map(mul, numerators[i], weights)), candidates[i].indices),
     )
-    ranking = tuple(
-        (candidates[i], tuple(Fraction(c, d) for c, d in zip(numerators[i], denominators)))
-        for i in order
-    )
-    return SearchReport(family.kind, r, tuple(grid), len(candidates), ranking, best,
-                        best_channels, certified)
+    # Candidates with equal numerators share one tuple of capacities.
+    capacities = {row: tuple(map(Fraction, row, denominators)) for row in set(numerators)}
+    ranking = tuple((candidates[i], capacities[numerators[i]]) for i in order)
+    return SearchReport(family.kind, r, tuple(grid), len(candidates), ranking, best, certified)

@@ -315,6 +315,11 @@ def test_config_grid_ignored_by_simulate(tmp_path, capsys):
                      id="sample-zero-denominator"),
         pytest.param(["prove", "--custom", "1,2/0"], "zero denominator",
                      id="custom-zero-denominator"),
+        pytest.param(["search", "--family", "irr4", "--grid", "1e-20000"],
+                     "'1e-20000' has a numerator or denominator of more than 4300 digits",
+                     id="grid-too-many-digits"),
+        pytest.param(["simulate", "--r", "2", "--m", "2", "--assign", "0,1", "--eps", "1e-5000"],
+                     "more than 4300 digits", id="eps-too-many-digits"),
         pytest.param(["prove", "--custom=-1,1", "--sample", "0"],
                      "interior sample must lie in (0, 1), got 0", id="custom-sample-zero"),
         pytest.param(["search", "--family", "reg2", "--grid", ","], "--grid lists no points",
@@ -777,12 +782,14 @@ _CODEC = sorted(["codec", "polarize", *_ANALYSIS])
         (["prove", "--t", "1,2"], ["poly", "proofcheck"]),
         (["curves", "--r", "2,4"], _ANALYSIS),
         (["analyze", "--family", "irr4", "--assign", "2,5,7,7"], _ANALYSIS),
-        (["search", "--family", "reg2"], sorted(["search", *_ANALYSIS])),
+        (["search", "--family", "reg2"], ["patterns", "search"]),
+        (["search", "--family", "irr4"], ["patterns", "search"]),
         (["simulate", "--r", "2", "--m", "3", "--assign", "0,1", "--trials", "64"],
          ["codec", "patterns", "polarize"]),
         (["simulate", "--oracle", "--family", "irr4", "--m", "2", "--assign", "2,5,7,7"], _CODEC),
     ],
-    ids=["kernels", "prove", "curves", "analyze", "search", "simulate", "oracle"],
+    ids=["kernels", "prove", "curves", "analyze", "search", "search-certified", "simulate",
+         "oracle"],
 )
 def test_command_loads_only_its_modules(argv, modules):
     """Each command, in a fresh interpreter, loads the package, the command

@@ -5,9 +5,9 @@ from math import comb
 
 import pytest
 
+from polarrep import effective_channels, patterns, poly, proofcheck, search
 from polarrep.effective_channels import _design_factor, _kernel_groups, assignment_erasures
 from polarrep.patterns import G2, I2, PatternAssignment, PatternFamily, family_by_name
-from polarrep import poly, proofcheck, search
 from polarrep.proofcheck import certify_difference, certify_dominance
 from polarrep.search import (
     DEFAULT_GRID,
@@ -162,7 +162,6 @@ def reference_search(family, grid, certify):
         candidates_evaluated=len(evaluated),
         ranking=ranking,
         best=best,
-        best_channels=best_channels,
         dominance_certified=certified,
     )
 
@@ -195,20 +194,27 @@ def test_reg8_ranking_pin():
 
 
 def test_only_winner_polynomials_built_without_dominance(monkeypatch):
+    """No capacity polynomial and no design factor polynomial is built: reg4
+    attempts no certificate, and on irr4 the packed column settles all 329
+    differences."""
     built = []
 
-    def counted(a, family):
-        built.append(a.indices)
-        return assignment_erasures(a, family)
+    def counted(name):
+        original = getattr(effective_channels, name)
 
-    monkeypatch.setattr(search, "assignment_erasures", counted)
+        def build(*args):
+            built.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(effective_channels, name, build)
+
+    counted("assignment_erasures")
+    counted("_design_factor")
     report = best_assignment(family_by_name("reg4"))
     assert report.best.indices == (0, 3, 3, 3)
-    assert built == [(0, 3, 3, 3)]
-    built.clear()
     report = best_assignment(family_by_name("irr4"))
     assert report.dominance_certified
-    assert built == [(2, 5, 7, 7)]  # the packed column settled the 329 others
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["reg2", "irr4", "reg8"])
@@ -222,16 +228,55 @@ def test_design_factor_table(name):
                 )
 
 
+@pytest.mark.parametrize("name", ["reg2", "reg4", "irr4", "reg8"])
+def test_factor_walk_is_the_design_factor_form(name):
+    """The walk on (p**mult, q**mult) gives each design factor's form at
+    (p, q) over q**deg, so written at its row's width w it is the factor's
+    homogeneous Horner value times q**(w - deg): at every default grid point
+    and at the packed Budan point."""
+    fam = family_by_name(name)
+    r = fam.size
+    candidates = enumerate_assignments(fam, r)
+    keys, degrees, _ = search._factor_table([_kernel_groups(a, fam) for a in candidates], r)
+    _, bits, _, _ = packed_column(fam)
+    points = [(g.numerator, g.denominator) for g in DEFAULT_GRID] + [(1, 1 + (1 << bits))]
+    for (kern, mult), row in zip(keys, degrees):
+        factors = [_design_factor(kern, mult, k) for k in range(r)]
+        w = max(f.degree for f in factors)
+        assert row == [f.degree for f in factors] and max(row) == w
+        for p, q in points:
+            for k, f in enumerate(factors):
+                n, d = patterns._factor(kern, p**mult, q**mult, k, mult == 1)
+                assert d == q**f.degree
+                assert n * q**w // d == f.horner(p, q) * q ** (w - f.degree)
+
+
 def packed_column(family, extra_bits=0):
     """The search's packed Budan column: candidates, slot width, slot count
-    and every candidate's slots, highest degree first."""
+    and every candidate's packed integer."""
     r = family.size
     candidates = enumerate_assignments(family, r)
-    table, members = search._factor_table([_kernel_groups(a, family) for a in candidates], r)
-    _, top = search._grid_capacities(table, members, r, [])
-    bits = search._slot_bits(table, members, r, top) + extra_bits
-    [packed], _ = search._grid_capacities(table, members, r, [(1, 1 + (1 << bits))])
+    keys, degrees, members = search._factor_table(
+        [_kernel_groups(a, family) for a in candidates], r)
+    _, top = search._grid_capacities(keys, degrees, members, r, [])
+    bits = search._slot_bits(r, top) + extra_bits
+    [packed], _ = search._grid_capacities(keys, degrees, members, r, [(1, 1 + (1 << bits))])
     return candidates, bits, top + 1, packed
+
+
+def _slots(value, bits, count):
+    """The ``count`` signed ``bits``-wide digits c_j of value, highest first,
+    where value = sum c_j 2**(bits j) and every |c_j| < 2**(bits - 1): each
+    digit read biased by 2**(bits - 1)."""
+    half = 1 << bits - 1
+    biased = value + half * (((1 << bits * count) - 1) // ((1 << bits) - 1))
+    mask = (1 << bits) - 1
+    return [(biased >> bits * j & mask) - half for j in reversed(range(count))]
+
+
+def _tops(bits, count):
+    """The top bit of every one of ``count`` slots of ``bits`` bits."""
+    return sum(1 << bits * j + bits - 1 for j in range(count))
 
 
 @pytest.mark.parametrize("name", ["reg2", "reg4", "irr4", "reg8"])
@@ -243,10 +288,10 @@ def test_packed_slots_independent_of_width(name):
     _, _, _, wide = packed_column(fam, 64)
     mid = len(candidates) // 2
     for value, wider in zip(packed, wide):
-        assert search._slots(value, bits, count) == search._slots(wider, bits + 64, count)
+        assert _slots(value, bits, count) == _slots(wider, bits + 64, count)
         # A difference fits as well: the width bounds twice every coefficient.
-        assert (search._slots(packed[mid] - value, bits, count)
-                == search._slots(wide[mid] - wider, bits + 64, count))
+        assert (_slots(packed[mid] - value, bits, count)
+                == _slots(wide[mid] - wider, bits + 64, count))
 
 
 @pytest.mark.parametrize("name", ["reg2", "reg4", "irr4"])
@@ -262,7 +307,7 @@ def test_packed_slots_are_budan_coefficients(name):
         for i, c in enumerate(h.coeffs):
             transform = transform + (shift ** (count - 1 - i)).scale(c)
         coeffs = [int(c) for c in transform.coeffs]
-        assert search._slots(value, bits, count)[::-1] == coeffs + [0] * (count - len(coeffs))
+        assert _slots(value, bits, count)[::-1] == coeffs + [0] * (count - len(coeffs))
 
 
 def test_packed_variations_settle_dominance():
@@ -275,11 +320,11 @@ def test_packed_variations_settle_dominance():
     settled = 0
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
-            slots = search._slots(packed[i] - packed[j], bits, count)
+            slots = _slots(packed[i] - packed[j], bits, count)
             if not any(slots):  # 17 of the 35 share one of two capacities
                 assert caps[i] == caps[j]
                 assert certify_dominance(caps[i], caps[j]) == "refuted"
-            elif search._variations(slots) == 0:
+            elif poly._variations(slots) == 0:
                 settled += 1
                 hi, lo = (i, j) if max(slots) > 0 else (j, i)
                 assert certify_dominance(caps[hi], caps[lo]) == "certified"
@@ -292,10 +337,33 @@ def test_packed_variations_settle_dominance():
     winner = assignment_erasures(candidates[best], irr4).capacity_poly
     for i, a in enumerate(candidates):
         if i != best:
-            slots = search._slots(packed[best] - packed[i], bits, count)
-            assert search._variations(slots) == 0 and max(slots) > 0
+            slots = _slots(packed[best] - packed[i], bits, count)
+            assert poly._variations(slots) == 0 and max(slots) > 0
             assert certify_dominance(
                 winner, assignment_erasures(a, irr4).capacity_poly) == "certified"
+
+
+def test_mask_test_matches_variations():
+    """The packed sign test finds both signs exactly when the decoded slots
+    have a sign variation: on every reg4 pair, on irr4's winner against the
+    329 others, and on every 97th reg8 candidate against every 89th."""
+    checked = []
+
+    def agree(name, pairs):
+        candidates, bits, count, packed = packed_column(family_by_name(name))
+        tops = _tops(bits, count)
+        for i, j in pairs(candidates):
+            difference = packed[i] - packed[j]
+            mixed = search._mixed_signs(difference, tops, bits)
+            assert mixed == (poly._variations(_slots(difference, bits, count)) > 0)
+            checked.append(mixed)
+
+    agree("reg4", lambda c: [(i, j) for i in range(len(c)) for j in range(len(c))])
+    assert any(checked) and not all(checked)
+    agree("irr4", lambda c: [([a.indices for a in c].index((2, 5, 7, 7)), i)
+                             for i in range(len(c))])
+    agree("reg8", lambda c: [(i, j) for i in range(0, len(c), 97) for j in range(0, len(c), 89)])
+    assert len(checked) == 35 * 35 + 330 + 67 * 73
 
 
 def test_variations_fall_back_to_dominance(monkeypatch):
@@ -308,7 +376,7 @@ def test_variations_fall_back_to_dominance(monkeypatch):
         calls.append(pb)
         return certify(pa, pb)
 
-    monkeypatch.setattr(search, "_variations", lambda coeffs: 1)
+    monkeypatch.setattr(search, "_mixed_signs", lambda value, tops, bits: True)
     monkeypatch.setattr(proofcheck, "certify_dominance", counted)
     fam = family_by_name("irr4")
     report = best_assignment(fam)
