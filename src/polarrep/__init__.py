@@ -39,6 +39,19 @@ def _check_grid(grid) -> None:
         seen.add(g)
 
 
+def _exact(n, d: int = 1) -> str:
+    """``str(Fraction(n, d))`` of a ``Fraction`` n, or of ints n/d in lowest
+    terms, also past the limit on ``str(int)`` digits, which stays in force
+    for parsing input: only what ``str`` refuses goes to the slower ``Decimal``."""
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        from decimal import Decimal
+
+        n, d = n.as_integer_ratio() if d == 1 else (n, d)
+        return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
+
+
 #: Each public name's module.
 _EXPORTS = {
     name: module

@@ -24,7 +24,6 @@ and a value for a flag the command lacks is ignored.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import io
 import json
@@ -33,7 +32,7 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_GRID, MAX_GAIN_T, _check_grid
+from . import DEFAULT_GRID, MAX_GAIN_T, _check_grid, _exact
 
 if TYPE_CHECKING:
     from .poly import Poly
@@ -70,14 +69,6 @@ def _comma_list(convert):
 
 def _decimal(value: Fraction | float) -> str:
     return f"{float(value):.12g}"
-
-
-def _exact(n: int, d: int) -> str:
-    """``str(Fraction(n, d))`` of a reduced ratio.  ``Decimal`` formats
-    integers past the interpreter's limit on ``str(int)`` digits, which stays
-    in force for parsing input."""
-    num = str(decimal.Decimal(n))
-    return num if d == 1 else f"{num}/{decimal.Decimal(d)}"
 
 
 def _emit(payload, args) -> None:
@@ -118,10 +109,10 @@ def _levels(r: int) -> int:
 def _eval_table(polys: dict[str, Poly], grid) -> list[dict]:
     table = []
     for g in grid:
-        row = {"eps": str(g)}
+        row = {"eps": _exact(g)}
         for name, p in polys.items():
             v = p.evaluate(g)
-            row[name] = str(v)
+            row[name] = _exact(v)
             row[name + "_decimal"] = _decimal(v)
         table.append(row)
     return table
@@ -249,29 +240,27 @@ def cmd_kernels(args) -> tuple[dict | list, int]:
     return {"command": "kernels", "kernels": entries}, 0
 
 
-def _scheme_capacity(t: int, g: Fraction) -> Fraction:
-    """Capacity of one polarized block plus r - 1 repetitions, r = 2**t, at
-    eps = g = p/q, exactly: (r q**D - sum(n) p**(r-1)) / (r**2 q**D) with
-    D = 3**t + r - 1, from the integer numerators n of the pattern-0 walk at
-    p/q.  The scheme's polynomial, of degree D, is never built."""
-    from . import effective_channels
+def _capacity(groups, g: Fraction) -> Fraction:
+    """Design capacity at eps = g of an assignment given as its kernel
+    groups, exactly: (r D - sum(n)) / (r**2 D), from the design erasures'
+    numerators n over one denominator D (``patterns.design_erasures``), r the
+    block count.  No polynomial is built."""
+    from .patterns import design_erasures
 
-    r = 1 << t
-    p, q = g.numerator, g.denominator
-    total = sum(effective_channels.regular_block_erasures(0, t, p, q))
-    qd = q ** (3**t + r - 1)
-    return Fraction(r * qd - total * p ** (r - 1), r * r * qd)
+    r = sum(mult for _, mult in groups)
+    nums, den = design_erasures(groups, g)
+    return Fraction(r * den - sum(nums), r * r * den)
 
 
 def cmd_curves(args) -> tuple[dict | list, int]:
-    from .effective_channels import reference_expression_set
+    from .patterns import PatternAssignment, _kernel_groups, irregular_family_r4, regular_family
 
     grid = _grid(args)
     r_values = [2, 4, 8] if args.r is None else args.r
     if not r_values:
         raise ValueError("--r lists no repetition counts")
-    # Each proposed cell walks the 2**t numerators at its point, on ints of
-    # up to 3**t log2(q) bits: on the default grid r=128 takes 0.06 s and
+    # Each proposed cell walks the r numerators at its point, on ints of up
+    # to 3**t log2(q) bits: on the default grid r=128 takes 0.06 s and
     # r=256 0.8 s of arithmetic (Python 3.11, one Xeon vCPU).
     for k, r in enumerate(r_values):
         t = _levels(r)
@@ -281,11 +270,13 @@ def cmd_curves(args) -> tuple[dict | list, int]:
             raise ValueError(f"repetition count {r} exceeds the bound {1 << MAX_GAIN_T} = 2**MAX_GAIN_T")
         if r in r_values[:k]:
             raise ValueError(f"repetition count {r} repeated")
-    irregular = (
-        reference_expression_set("irregular_best_r4").capacity_poly
-        if 4 in r_values
-        else None
-    )
+    # proposed_r{r} is reg{r}'s {0, r-1, ..., r-1} and irregular_r4 irr4's
+    # {2, 5, 7, 7}, grouped once: hashing deep kernel trees per point costs ms.
+    proposed = {
+        r: _kernel_groups(PatternAssignment([0] + [r - 1] * (r - 1)), regular_family(_levels(r)))
+        for r in r_values
+    }
+    irregular = _kernel_groups(PatternAssignment([2, 5, 7, 7]), irregular_family_r4())
     header = ["eps", "shannon"]
     for r in r_values:
         header += [f"repetition_r{r}", f"proposed_r{r}"]
@@ -296,9 +287,9 @@ def cmd_curves(args) -> tuple[dict | list, int]:
         row = [_decimal(g), _decimal(1 - g)]
         for r in r_values:
             row.append(_decimal(Fraction(1 - g**r, r)))
-            row.append(_decimal(_scheme_capacity(_levels(r), g)))
+            row.append(_decimal(_capacity(proposed[r], g)))
             if r == 4:
-                row.append(_decimal(irregular.evaluate(g)))
+                row.append(_decimal(_capacity(irregular, g)))
         rows.append(row)
     if args.format == "csv":
         return rows, 0
@@ -319,7 +310,7 @@ def _simulate_family(args):
 
 def cmd_simulate(args) -> tuple[dict | list, int]:
     from . import codec
-    from .patterns import PatternAssignment
+    from .patterns import PatternAssignment, _kernel_groups, design_erasures
 
     _require(args, "m", "assign")
     # Refuse what the run would ignore, before any design work.
@@ -355,13 +346,15 @@ def cmd_simulate(args) -> tuple[dict | list, int]:
     design_eps = args.design_eps if args.design_eps is not None else eps
     spec = codec.design_code(m, t, assignment, design_eps, k, family)
     report = codec.monte_carlo(spec, eps, trials, seed=seed)
-    values = codec.design_erasures(assignment, family, eps)
-    if args.exact:
-        design = codec.synthetic_erasure_ratios(values, m - t)
-    elif spec.design_eps == eps:
+    if spec.design_eps == eps and not args.exact:
         floats = spec.design_floats
-    else:
-        floats = codec.design_ranking(values, m - t, 0)[0]
+    else:  # the erasures at --eps, walked again only where the design's floats do not serve
+        nums, den = design_erasures(_kernel_groups(assignment, family), eps)
+        values = [Fraction(n, den) for n in nums]
+        if args.exact:
+            design = codec.synthetic_erasure_ratios(values, m - t)
+        else:
+            floats = codec.design_ranking(values, m - t, 0)[0]
     if args.format == "csv":
         rows = [["bit", "empirical_rate", "design_erasure", "frozen"]]
         frozen = set(spec.frozen)

@@ -28,8 +28,9 @@ The exact oracle builds the lanes of all 2**N patterns of a short code
 directly and counts each bit's failures per pattern weight to get exact
 per-bit erasure polynomials; it is the ground truth the design analysis in
 :mod:`polarrep.effective_channels` is compared against.  A design needs only
-the sub-channel erasures at its point (``design_erasures``), so only the
-oracle and ``synthetic_polynomials`` load the polynomial modules.  The
+the sub-channel erasures at its point, which the design factor walk gives on
+integers (``patterns.design_erasures``), so only the oracle and
+``synthetic_polynomials`` load the polynomial modules.  The
 Monte Carlo draws its row ints directly as exact Bernoulli(eps) bits from
 ``random.Random(seed).getrandbits`` and counts failures by popcount;
 ``erasure_flow`` packs its patterns' lanes into rows as the oracle does.
@@ -38,14 +39,13 @@ Monte Carlo draws its row ints directly as exact Bernoulli(eps) bits from
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from .patterns import (LEAF, Kernel, PatternAssignment, PatternFamily, _factor, _kernel_groups,
-                       _Record, apply_kernel)
+from .patterns import (LEAF, Kernel, PatternAssignment, PatternFamily, _kernel_groups, _Record,
+                       apply_kernel, design_erasures)
 from .polarize import (  # all three design erasure forms are read from codec
     _polarize,
     design_ranking,
@@ -155,19 +155,6 @@ def synthetic_polynomials(spec: CodeSpec) -> list[Poly]:
     return _polarize(list(per), spec.m - spec.t, Poly.one())
 
 
-def design_erasures(
-    assignment: PatternAssignment, family: PatternFamily, eps: Fraction
-) -> list[Fraction]:
-    """Design erasure of every sub-channel at ``eps`` = p/q, exactly: the
-    design factor walk (``patterns._factor``) on (p**mult, q**mult), which
-    gives the erasure polynomials there without building them, reduced once."""
-    groups = _kernel_groups(assignment, family)
-    p, q = eps.numerator, eps.denominator
-    return [Fraction(*map(math.prod, zip(*(_factor(kern, p**mult, q**mult, k, mult == 1)
-                                           for kern, mult in groups))))
-            for k in range(family.size)]
-
-
 def _check_shape(m: int, t: int, assignment: PatternAssignment, family: PatternFamily) -> None:
     """Refuse a code shape no spec can have: m above ``MAX_DESIGN_M``, t
     outside [0, m], kernels not of size 2**t, or an assignment with an index
@@ -204,8 +191,8 @@ def design_code(
     design_eps = Fraction(design_eps)
     if not 0 <= design_eps <= 1:
         raise ValueError(f"design erasure must lie in [0, 1], got {design_eps}")
-    values = design_erasures(assignment, family, design_eps)
-    floats, frozen = design_ranking(values, m - t, (1 << m) - k)
+    nums, den = design_erasures(_kernel_groups(assignment, family), design_eps)
+    floats, frozen = design_ranking([Fraction(n, den) for n in nums], m - t, (1 << m) - k)
     return CodeSpec(m, t, family, assignment, design_eps, k, frozen, tuple(floats))
 
 

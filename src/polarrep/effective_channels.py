@@ -6,9 +6,8 @@ they can be cross-checked:
 * ``regular_block_erasures`` -- the closed-form design recursion for a single
   regular pattern: at each level the odd child maps z -> z*(1 + z - z**2)
   and the even child z -> z**2 when the pattern bit polarizes, both children
-  staying at z when it does not.  It walks numerators over one shared
-  denominator, so it yields the polynomials or, at a rational point, their
-  exact integer numerators.
+  staying at z when it does not.  It is the reference the tests compare
+  with ``assignment_erasures``.
 * ``assignment_erasures`` -- the design analysis for an arbitrary multiset
   of kernels: blocks with identical kernels merge their aligned legs at each
   polarizing level, distinct kernels contribute independent per-block
@@ -17,10 +16,12 @@ they can be cross-checked:
   bakes into its odd-child map).  This reproduces the closed-form
   effective-channel expressions of the best known patterns and reduces to
   the exact decoder analysis for two repetitions and for pure-repetition
-  assignments.  Each factor (the walk ``patterns._factor`` on ``EPS`` over
-  the unit polynomial) depends only on (kernel, multiplicity,
-  sub-codeword), so it is computed once (``_design_factor``) and shared by
-  every assignment.
+  assignments.  A kernel's factors (the one walk ``patterns._factor`` on
+  ``EPS`` over the unit polynomial, every sub-codeword's at once) depend
+  only on (kernel, multiplicity), so they are computed once
+  (``_design_factor``) and shared by every assignment.  At a rational point
+  the same walk runs on integers (``patterns.design_erasures``), with no
+  polynomial built.
 * ``reference_expression_set`` -- fixed transcriptions of the known
   closed-form effective-channel expressions for the best four-repetition
   patterns, written with the check, bit and repetition transforms of
@@ -79,38 +80,24 @@ def _make_set(per_subword: tuple[Poly, ...]) -> EffectiveChannelSet:
 
 # -- regular-pattern design recursion ---------------------------------------
 
-def regular_block_erasures(i: int, t: int, eps=EPS, den=ONE) -> tuple:
-    """Per-sub-codeword erasures of regular pattern i at t levels, as
-    numerators over den**(3**t).
+def regular_block_erasures(i: int, t: int) -> tuple[Poly, ...]:
+    """Per-sub-codeword erasure polynomials of regular pattern i at t levels.
 
     Bits of ``i`` are consumed most significant first, one per level; the
-    seed is the raw erasure probability eps/den.  With z = n/d a polarizing
-    level gives n(d**2 + nd - n**2)/d**3 (z -> z(1 + z - z**2)) and
-    n**2 d/d**3 (z -> z**2), a plain level nd**2/d**3 twice, so every
-    pattern's results share one denominator.  With the defaults (``EPS``
-    over the unit ``Poly``) they are the erasure polynomials; with ints
-    (p, q) they are the integer numerators at eps = p/q, which is how
-    ``curves`` evaluates the scheme without building it.  Pattern
-    2**t - 1 (identity) leaves every sub-codeword at the raw channel.
+    seed is the raw erasure probability eps.  A polarizing level sends z to
+    z(1 + z - z**2) and z**2, a plain level to z twice.  Pattern 2**t - 1
+    (identity) leaves every sub-codeword at the raw channel.
     """
     if t < 0:
         raise ValueError("level count must be >= 0")
     if not 0 <= i < (1 << t):
         raise ValueError(f"pattern index {i} out of range for t={t}")
-    zs = [eps]
+    zs = [EPS]
     for level in range(t - 1, -1, -1):
-        square = den * den
         nxt = []
-        if (i >> level) & 1:
-            for n in zs:
-                n = n * square
-                nxt += (n, n)
-        else:
-            for n in zs:
-                nxt.append(n * (square + n * den - n * n))
-                nxt.append(n * n * den)
+        for z in zs:
+            nxt += (z, z) if (i >> level) & 1 else (z * (ONE + z - z * z), z * z)
         zs = nxt
-        den = square * den
     return tuple(zs)
 
 
@@ -132,13 +119,14 @@ def coded_repetition_scheme(t: int) -> EffectiveChannelSet:
 # -- design analysis for arbitrary assignments -------------------------------
 
 @cache
-def _design_factor(kern: Kernel, mult: int, k: int) -> Poly:
-    """Factor of sub-codeword k contributed by ``mult`` blocks of one kernel.
+def _design_factor(kern: Kernel, mult: int) -> tuple[Poly, ...]:
+    """Factor of every sub-codeword contributed by ``mult`` blocks of one
+    kernel, from one walk.
 
-    It depends only on (kern, mult, k), so every assignment reads one
-    table: reg8's 6,435 assignments need at most 512 entries.
+    It depends only on (kern, mult), so every assignment reads one table:
+    reg8's 6,435 assignments need at most 64 entries.
     """
-    return _factor(kern, EPS**mult, ONE, k, mult == 1)[0]
+    return tuple(_factor(kern, EPS**mult, ONE, mult == 1)[0])
 
 
 def assignment_erasures(
@@ -153,13 +141,9 @@ def assignment_erasures(
     sub-codeword (``_design_factor``), with repeated kernels fused into a
     repetition-boosted single block.
     """
-    groups = _kernel_groups(assignment, family)
-    per = []
-    for k in range(family.size):
-        acc = ONE
-        for kern, mult in groups:
-            acc = acc * _design_factor(kern, mult, k)
-        per.append(acc)
+    per = [ONE] * family.size
+    for kern, mult in _kernel_groups(assignment, family):
+        per = [acc * z for acc, z in zip(per, _design_factor(kern, mult))]
     return _make_set(tuple(per))
 
 

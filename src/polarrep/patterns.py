@@ -1,5 +1,8 @@
-"""Kernel and pattern-family construction, per-block encoding, and the
-design factor walk down a kernel tree (``_factor``).
+"""Kernel and pattern-family construction, per-block encoding, the design
+factor walk down a kernel tree (``_factor``), which gives every
+sub-codeword's factor over one denominator in one pass, and the one
+evaluator of an assignment's design erasures at a rational point
+(``design_erasures``).
 
 A kernel is applied at the outer recursion levels of one repetition block.
 Every kernel is a recursion tree K(e, A, B): the block matrix
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -223,30 +227,53 @@ def _kernel_groups(
     return tuple(Counter(kernels).items())
 
 
-def _factor(kern: Kernel, n, d, k: int, lone: bool) -> tuple:
-    """Design factor n/d of sub-codeword k through one kernel's tree, walked
-    on an erasure polynomial over the unit ``Poly`` (``effective_channels``)
-    or on integers (p**mult, q**mult) for eps = p/q, where it ends as the
-    factor's form at (p, q) over q**deg (``search``, ``codec``).  A
-    polarizing level sends the earlier half to a check combine z + w - z*w
-    with the partner's channel w and the later half to z**2; other levels
-    pass z through.  A lone block takes w = z**2, budgeting the partner two
-    uses of the channel (its own leg and one repetition leg), so one
-    polarized block plus plain repetitions is the single-pattern recursion.
-    A group of identical blocks, seeded with z = eps**mult, repeats its
-    codeword, so the aligned legs fuse into one channel and w = z: exact,
-    matching the decoder and the length-one repetition scheme.  With
-    z = n/d these are n(d**2 + nd - n**2)/d**3, n(2d - n)/d**2, n**2/d**2."""
-    h = kern.size
-    while kern.a is not None:
-        h >>= 1
-        if kern.e and k < h:
+def _factor(kern: Kernel, n, d, lone: bool) -> tuple[list, object]:
+    """Design factor of every sub-codeword through one kernel's tree, in one
+    walk, as numerators over one shared denominator: on an erasure
+    polynomial over the unit ``Poly`` (``effective_channels``) or on the
+    integers (p**mult, q**mult) for eps = p/q, where each ends as its
+    factor's form at (p, q), written at the walk's degree, over q**degree
+    (``search``, ``design_erasures``).  A polarizing level sends the earlier
+    half to a check combine z + w - z*w with the partner's channel w and the
+    later half to z**2; other levels pass z through.  A lone block takes
+    w = z**2, budgeting the partner two uses of the channel (its own leg and
+    one repetition leg), so one polarized block plus plain repetitions is
+    the single-pattern recursion.  A group of identical blocks, seeded with
+    z = eps**mult, repeats its codeword, so the aligned legs fuse into one
+    channel and w = z: exact, matching the decoder and the length-one
+    repetition scheme.  Level by level, like ``polarize._polarize``, the
+    nodes of one depth share the denominator: with z = n/d a lone block's
+    level gives n(d**2 + nd - n**2), n**2 d and, under a plain node, n d**2
+    over d**3, a merged group's n(2d - n), n**2 and n d over d**2; a level
+    with no polarizing node changes nothing."""
+    nodes, nums = [kern], [n]
+    while nodes[0].a is not None:
+        polar = [node.e for node in nodes]
+        if 1 in polar:
             square = d * d
-            n, d = (n * (square + n * d - n * n), square * d) if lone else (n * (d + d - n), square)
-        elif kern.e:
-            n, d = n * n, d * d
-        kern, k = (kern.a, k) if k < h else (kern.b, k - h)
-    return n, d
+            plain = square if lone else d
+            nxt = []
+            for e, n in zip(polar, nums):
+                if not e:
+                    nxt += n * plain, n * plain
+                elif lone:
+                    nxt += n * (square + n * d - n * n), n * n * d
+                else:
+                    nxt += n * (d + d - n), n * n
+            nums, d = nxt, square * d if lone else square
+        else:
+            nums = [x for n in nums for x in (n, n)]
+        nodes = [half for node in nodes for half in (node.a, node.b)]
+    return nums, d
+
+
+def design_erasures(groups: tuple[tuple[Kernel, int], ...], eps) -> tuple[list[int], int]:
+    """Design erasure of every sub-codeword at eps = p/q of an assignment,
+    given as its kernel groups, exactly: numerators over one denominator,
+    the products of each group's walk (``_factor``) on (p**mult, q**mult)."""
+    p, q = eps.numerator, eps.denominator
+    walks = [_factor(kern, p**mult, q**mult, mult == 1) for kern, mult in groups]
+    return list(map(prod, zip(*(factors for factors, _ in walks)))), prod(d for _, d in walks)
 
 
 def apply_kernel(k: Kernel, subwords: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import MAX_GAIN_T  # defined by the package, which the command line reads
+from . import MAX_GAIN_T, _exact  # defined by the package, which the command line reads
 from .poly import EPS, Poly, SturmSequence, budan_variations, count_roots_in
 
 #: The level maps of one polarizing step: sub-codeword k's erasure is their
@@ -60,10 +60,10 @@ class GainCertificate(NamedTuple):
         d = {
             "r": self.r,
             "difference": self.difference_poly.to_strings(),
-            "endpoint_values": [str(v) for v in self.endpoint_values],
+            "endpoint_values": [_exact(v) for v in self.endpoint_values],
             "interior_sample": {
-                "eps": str(self.interior_sample[0]),
-                "value": str(self.interior_sample[1]),
+                "eps": _exact(self.interior_sample[0]),
+                "value": _exact(self.interior_sample[1]),
             },
             "roots_in_open_unit": self.roots_in_open_unit,
             "verdict": self.verdict,

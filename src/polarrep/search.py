@@ -3,9 +3,10 @@
 The number of candidate assignments is the number of multisets of size r
 over the family indices: C(|family| + r - 1, r).  Capacities are evaluated
 exactly on a grid of erasure probabilities: the design factor walk
-``patterns._factor`` runs on integers once per (kernel, multiplicity,
-sub-codeword) and grid point, and every candidate's capacity there is an
-integer numerator over the point's one denominator.  Maxima, grid wins and
+``patterns._factor`` runs on integers once per (kernel, multiplicity) and
+grid point, giving every sub-codeword's factor over one denominator, and
+every candidate's capacity there is an integer numerator over the point's
+one denominator.  Maxima, grid wins and
 the ranking's order are read from these integers; ``Fraction``s are built
 only for the report.  The winner is the assignment that maximizes capacity
 at every grid point simultaneously when such an assignment exists, and
@@ -27,7 +28,7 @@ from math import comb, lcm, prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from . import DEFAULT_GRID, _check_grid  # defined by the package, which the command line reads
+from . import DEFAULT_GRID, _check_grid, _exact  # defined by the package, read by the command line
 from .patterns import Kernel, PatternAssignment, PatternFamily, _factor, _kernel_groups
 
 #: Largest candidate count a search enumerates: reg8 (6,435) fits, reg16
@@ -50,7 +51,7 @@ class SearchReport(NamedTuple):
         return {
             "family": self.family_kind,
             "r": self.r,
-            "grid": [str(g) for g in self.grid],
+            "grid": [_exact(g) for g in self.grid],
             "candidates_evaluated": self.candidates_evaluated,
             "best": list(self.best.indices),
             "dominance_certified": self.dominance_certified,
@@ -58,7 +59,7 @@ class SearchReport(NamedTuple):
                 {
                     "assignment": list(a.indices),
                     "capacities": strings.get(id(caps)) or strings.setdefault(
-                        id(caps), [str(c) for c in caps]),
+                        id(caps), [_exact(c) for c in caps]),
                 }
                 for a, caps in self.ranking
             ],
@@ -81,38 +82,31 @@ def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignme
     ]
 
 
-def _factor_table(groups: list[tuple[tuple[Kernel, int], ...]], r: int) -> tuple:
-    """The distinct (kernel, multiplicity) keys, the degrees of each key's r
-    design factors (the walk at (0, 2**mult) ends over 2**degree), and each
-    candidate's rows: its erasure at sub-codeword k is the product of column
-    k over them."""
+def _factor_table(groups: list[tuple[tuple[Kernel, int], ...]]) -> tuple:
+    """The distinct (kernel, multiplicity) keys, each key's degree (its walk
+    at (0, 2**mult) ends over 2**degree), and each candidate's rows: its
+    erasure at sub-codeword k is the product of entry k over them."""
     position: dict[tuple[Kernel, int], int] = {}
     members = [[position.setdefault(key, len(position)) for key in g] for g in groups]
     keys = list(position)
-    degrees = [
-        [_factor(kern, 0, 1 << mult, k, mult == 1)[1].bit_length() - 1 for k in range(r)]
-        for kern, mult in keys
-    ]
+    degrees = [_factor(kern, 0, 1 << mult, mult == 1)[1].bit_length() - 1 for kern, mult in keys]
     return keys, degrees, members
 
 
 def _grid_capacities(
-    keys: list[tuple[Kernel, int]], degrees: list[list[int]], members: list[list[int]],
+    keys: list[tuple[Kernel, int]], degrees: list[int], members: list[list[int]],
     r: int, points: list[tuple[int, int]],
 ) -> tuple[list[list[int]], int]:
     """Every candidate's capacity numerator at every point (p, q), as integers.
 
     Returns one column per point, one integer per candidate, and the degree
-    D they share.  Each factor's form at (p, q) is written at degree w, the
-    largest in its row; a candidate's erasure at sub-codeword k is the
-    product M_k of its rows' values, of degree d the sum of their w, and its
-    capacity is r q**D - q**(D - d) sum M_k over r**2 q**D.
+    D they share.  Each key's walk gives its r factors' forms at (p, q) over
+    q**w, w its degree; a candidate's erasure at sub-codeword k is the
+    product M_k of its rows' entries, over q**d with d the sum of their w,
+    and its capacity is r q**D - q**(D - d) sum M_k over r**2 q**D.
     """
-    widths = [max(row) for row in degrees]
-    sizes = [sum(widths[i] for i in ids) for ids in members]
+    sizes = [sum(degrees[i] for i in ids) for ids in members]
     top = max(sizes)
-    walks = [(kern, mult, mult == 1, [(k, w - deg) for k, deg in enumerate(row)])
-             for (kern, mult), row, w in zip(keys, degrees, widths)]
     # A lone row comes with a row of ones, so every fetch returns a tuple of rows.
     unit = len(keys)
     fetch = [itemgetter(*ids, unit) if len(ids) == 1 else itemgetter(*ids) for ids in members]
@@ -120,10 +114,7 @@ def _grid_capacities(
     columns = []
     for p, q in points:
         qpow = [q**i for i in range(top + 1)]
-        values = []
-        for kern, mult, lone, shifts in walks:
-            n, d = p**mult, q**mult
-            values.append([_factor(kern, n, d, k, lone)[0] * qpow[s] for k, s in shifts])
+        values = [_factor(kern, p**mult, q**mult, mult == 1)[0] for kern, mult in keys]
         values.append(ones)
         columns.append([
             r * qpow[top] - qpow[top - d] * sum(map(prod, zip(*get(values))))
@@ -136,8 +127,10 @@ def _slot_bits(r: int, top: int) -> int:
     """A slot width that holds every Budan coefficient of a capacity
     difference of degree D = ``top``.  A design factor f has l1 norm at most
     2**(2 deg f - 1), by induction over z + z**2 - z**3, 2z - z**2 and z**2
-    from eps**mult; so has a product of total degree at most D with 2D in
-    its place.  At (1, 1 + x) a degree-D form of norm a has norm at most
+    from eps**mult.  The walk writes it at its key's degree w >= deg f, and
+    the factor q**(w - deg f) leaves the l1 norm unchanged, so the bound
+    holds with w; so does it for a product of total degree at most D, with
+    2D in its place.  At (1, 1 + x) a degree-D form of norm a has norm at most
     a 2**D, so a numerator's coefficients are at most r 2**D (1 + 2**(2D - 1))
     and a difference's twice that."""
     return (r * (1 + (1 << 2 * top - 1)) << top + 1).bit_length() + 1
@@ -196,7 +189,7 @@ def best_assignment(
 
     candidates = enumerate_assignments(family, r)
     assert len(candidates) == comb(len(family) + r - 1, r)
-    keys, degrees, members = _factor_table([_kernel_groups(a, family) for a in candidates], r)
+    keys, degrees, members = _factor_table([_kernel_groups(a, family) for a in candidates])
     points = [(x.numerator, x.denominator) for x in map(Fraction, grid)]
     columns, top = _grid_capacities(keys, degrees, members, r, points)
     numerators = list(zip(*columns))

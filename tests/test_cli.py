@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,11 +14,12 @@ from pathlib import Path
 import pytest
 
 import polarrep
-from polarrep import DEFAULT_GRID, cli, codec, effective_channels, poly, proofcheck, search
-from polarrep.cli import _decimal, _exact, _scheme_capacity, main
+from polarrep import DEFAULT_GRID, cli, codec, effective_channels, patterns, poly, proofcheck, search
+from polarrep.cli import _capacity, _decimal, _exact, main
 from polarrep.codec import synthetic_erasure_values
-from polarrep.effective_channels import assignment_erasures, coded_repetition_scheme
-from polarrep.patterns import PatternAssignment, family_by_name
+from polarrep.effective_channels import (assignment_erasures, coded_repetition_scheme,
+                                         reference_expression_set)
+from polarrep.patterns import PatternAssignment, _kernel_groups, family_by_name, regular_family
 
 
 def run(capsys, *argv):
@@ -181,6 +183,31 @@ def test_exact_text_past_digit_limit():
     assert _exact(10**4400, 1) == "1" + "0" * 4400
     assert _exact(0, 1) == "0"
     assert _exact(5, 16) == str(Fraction(5, 16))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--family", "reg2", "--grid", "1e-4299"],
+        ["analyze", "--family", "irr4", "--assign", "2,5,7,7", "--grid", "1e-1000"],
+        ["prove", "--t", "2", "--grid", "1e-1000"],
+        ["prove", "--t", "2", "--sample", "1e-1000"],
+    ],
+    ids=["search", "analyze", "prove-grid", "prove-sample"],
+)
+def test_exact_values_past_digit_limit(capsys, argv):
+    """An accepted point can give exact values with more digits than
+    ``str`` prints; each is printed in full, as ``str`` prints it with the
+    limit lifted."""
+    code, doc = run_json(capsys, *argv)
+    limit = sys.get_int_max_str_digits()
+    assert code == 0
+    assert max(map(len, re.findall(r"\d+", json.dumps(doc)))) > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert run_json(capsys, *argv) == (0, doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_simulate_m13_past_digit_limit(capsys):
@@ -551,7 +578,7 @@ def test_curves_r_checked_before_building(monkeypatch, capsys, r):
     def built(*args):
         raise AssertionError("scheme built before the repetition bound check")
 
-    monkeypatch.setattr(effective_channels, "regular_block_erasures", built)
+    monkeypatch.setattr(patterns, "_factor", built)
     code = main(["curves", "--r", r])
     captured = capsys.readouterr()
     assert code == 1
@@ -566,7 +593,7 @@ def test_curves_r_bound_admits_128(monkeypatch, capsys):
     def built(*args):
         raise ValueError("scheme built")
 
-    monkeypatch.setattr(effective_channels, "regular_block_erasures", built)
+    monkeypatch.setattr(patterns, "_factor", built)
     assert main(["curves", "--r", "128"]) == 1
     assert json.loads(capsys.readouterr().err)["reason"] == "scheme built"
 
@@ -585,8 +612,7 @@ def test_list_refused_before_building(monkeypatch, capsys, argv, reason):
     def built(*args):
         raise AssertionError("built before the list was checked")
 
-    monkeypatch.setattr(effective_channels, "regular_block_erasures", built)
-    monkeypatch.setattr(effective_channels, "reference_expression_set", built)
+    monkeypatch.setattr(patterns, "_factor", built)
     monkeypatch.setattr(poly.Poly, "compose", built)
     code = main(argv)
     captured = capsys.readouterr()
@@ -596,15 +622,33 @@ def test_list_refused_before_building(monkeypatch, capsys, argv, reason):
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_curves_cell_is_scheme_capacity(t):
+    """proposed_r{r} is reg{r}'s {0, r-1, ..., r-1}, the one-polarized-block
+    scheme, and irregular_r4 is the golden {2, 5, 7, 7} polynomial."""
+    r = 1 << t
+    groups = _kernel_groups(PatternAssignment([0] + [r - 1] * (r - 1)), regular_family(t))
+    irregular = _kernel_groups(PatternAssignment([2, 5, 7, 7]), family_by_name("irr4"))
     for g in DEFAULT_GRID:
-        assert _scheme_capacity(t, g) == coded_repetition_scheme(t).capacity_at(g)
+        assert _capacity(groups, g) == coded_repetition_scheme(t).capacity_at(g)
+        if r == 4:
+            golden = reference_expression_set("irregular_best_r4").capacity_at(g)
+            assert _capacity(irregular, g) == golden
 
 
 def test_curves_builds_no_scheme(monkeypatch, capsys):
-    def built(*args):
-        raise AssertionError("scheme polynomial built")
+    """Every cell is the design walk on the integers of its point: no
+    polynomial is multiplied or evaluated."""
+    factor = patterns._factor
 
-    monkeypatch.setattr(effective_channels, "coded_repetition_scheme", built)
+    def on_integers(kern, n, d, lone):
+        assert type(n) is int and type(d) is int
+        return factor(kern, n, d, lone)
+
+    def built(*args):
+        raise AssertionError("polynomial built")
+
+    monkeypatch.setattr(patterns, "_factor", on_integers)
+    monkeypatch.setattr(poly.Poly, "__mul__", built)
+    monkeypatch.setattr(poly.Poly, "evaluate", built)
     code, out = run(capsys, *CURVES_ARGV, "--format", "csv")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, CURVES_CSV)
 
@@ -780,7 +824,7 @@ _CODEC = sorted(["codec", "polarize", *_ANALYSIS])
     [
         (["kernels", "--refs", "reg2:0"], ["patterns"]),
         (["prove", "--t", "1,2"], ["poly", "proofcheck"]),
-        (["curves", "--r", "2,4"], _ANALYSIS),
+        (["curves", "--r", "2,4"], ["patterns"]),
         (["analyze", "--family", "irr4", "--assign", "2,5,7,7"], _ANALYSIS),
         (["search", "--family", "reg2"], ["patterns", "search"]),
         (["search", "--family", "irr4"], ["patterns", "search"]),

@@ -27,7 +27,7 @@ from polarrep.codec import (
     synthetic_polynomials,
 )
 from polarrep.effective_channels import assignment_erasures, reference_expression_set
-from polarrep.patterns import PatternAssignment, family_by_name, regular_family
+from polarrep.patterns import PatternAssignment, _kernel_groups, family_by_name, regular_family
 from polarrep.poly import EPS, Poly
 from polarrep.search import enumerate_assignments
 
@@ -324,12 +324,15 @@ class TestDesignCode:
     @pytest.mark.parametrize("name, stride", [("reg2", 1), ("reg4", 1), ("irr4", 1)])
     def test_design_erasures_are_the_polynomials_at_the_point(self, name, stride):
         """The design factor walk on the point gives every sub-channel's
-        design erasure polynomial evaluated there, exactly."""
+        design erasure polynomial evaluated there, exactly, as numerators
+        over one denominator."""
         family = family_by_name(name)
         for assignment in enumerate_assignments(family, family.size)[::stride]:
             per = assignment_erasures(assignment, family).per_subword
+            groups = _kernel_groups(assignment, family)
             for eps in RATIO_EPS:
-                assert codec.design_erasures(assignment, family, eps) == at_point(per, eps)
+                nums, den = codec.design_erasures(groups, eps)
+                assert [F(n, den) for n in nums] == at_point(per, eps)
 
     @pytest.mark.parametrize("name, stride", [("reg2", 1), ("reg4", 7), ("irr4", 83)])
     def test_floor_pass_brackets_path_ratios(self, monkeypatch, name, stride):

@@ -11,7 +11,7 @@ from polarrep.effective_channels import (
     reference_expression_set,
     regular_block_erasures,
 )
-from polarrep.patterns import PatternAssignment, family_by_name, regular_family
+from polarrep.patterns import PatternAssignment, _factor, family_by_name, regular_family
 from polarrep.poly import EPS, ONE, Poly
 
 U = EPS + EPS**2 - EPS**3  # check of the raw channel with its square
@@ -36,17 +36,6 @@ class TestRegularBlockErasures:
             EPS**4,
         )
         assert regular_block_erasures(0, 2) == expected
-
-    @pytest.mark.parametrize("t", [0, 1, 2, 3])
-    def test_integer_walk_is_polynomials_at_point(self, t):
-        """One walk: at p/q its integer numerators are the erasure
-        polynomials' values over q**(3**t)."""
-        for i in range(1 << t):
-            polys = regular_block_erasures(i, t)
-            for p, q in ((1, 3), (2, 7), (1, 2), (19, 20)):
-                nums = regular_block_erasures(i, t, p, q)
-                assert all(type(n) is int for n in nums)
-                assert list(nums) == [z.evaluate(F(p, q)) * q ** 3**t for z in polys]
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
@@ -207,6 +196,39 @@ def test_json_shape():
     assert d["per_subword"][1] == ["0/1", "0/1", "0/1", "1/1"]
 
 
+def walk_degree(kern, mult):
+    """The walk's degree: mult, times 3 for a lone block or 2 for a merged
+    group at every level where some node polarizes."""
+    nodes, deg = [kern], mult
+    while nodes[0].a is not None:
+        if any(node.e for node in nodes):
+            deg *= 3 if mult == 1 else 2
+        nodes = [half for node in nodes for half in (node.a, node.b)]
+    return deg
+
+
+@pytest.mark.parametrize("name", ["reg2", "reg4", "reg8", "reg16", "irr4"])
+def test_walk_at_integer_points_is_polynomial_walk(name):
+    """One walk: on (p**mult, q**mult) it gives every factor of its walk on
+    (EPS**mult, ONE) at p/q, times q**deg, over the one denominator q**deg;
+    for every member, lone and merged.  deg is the largest factor degree,
+    except where the nodes of one level differ: irr4's member 2, lone,
+    polarizes only its bottom half at the second level, so its factors of
+    degree 3, 3, 6, 4 share q**9."""
+    fam = family_by_name(name)
+    points = ((0, 1), (1, 1), (1, 3), (2, 7), (1, 2), (19, 20), (1, 1 + (1 << 64)))
+    for i, kern in enumerate(fam.members):
+        for mult in sorted({1, 2, fam.size}):
+            polys, unit = _factor(kern, EPS**mult, ONE, mult == 1)
+            assert unit == ONE and len(polys) == fam.size
+            deg, top = walk_degree(kern, mult), max(z.degree for z in polys)
+            assert (deg, top) == (9, 6) if (name, i, mult) == ("irr4", 2, 1) else deg == top
+            for p, q in points:
+                nums, den = _factor(kern, p**mult, q**mult, mult == 1)
+                assert den == q**deg
+                assert nums == [z.evaluate(F(p, q)) * den for z in polys]
+
+
 def test_range_preservation_every_assignment():
     from polarrep.search import enumerate_assignments
 
@@ -235,5 +257,5 @@ def test_design_factors_pinned():
         for kern in fam.members:
             for mult in range(1, fam.size + 1):
                 for k in range(fam.size):
-                    factors.append(",".join(_design_factor(kern, mult, k).to_strings()))
+                    factors.append(",".join(_design_factor(kern, mult)[k].to_strings()))
     assert hashlib.sha256("\n".join(factors).encode()).hexdigest() == DESIGN_FACTORS

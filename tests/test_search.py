@@ -222,33 +222,28 @@ def test_design_factor_table(name):
     fam = family_by_name(name)
     for kern in (fam[0], fam[len(fam) // 2], fam[len(fam) - 1]):
         for mult in (1, 2, fam.size):
-            for k in range(fam.size):
-                assert _design_factor(kern, mult, k) == _design_factor.__wrapped__(
-                    kern, mult, k
-                )
+            assert _design_factor(kern, mult) == _design_factor.__wrapped__(kern, mult)
 
 
 @pytest.mark.parametrize("name", ["reg2", "reg4", "irr4", "reg8"])
 def test_factor_walk_is_the_design_factor_form(name):
-    """The walk on (p**mult, q**mult) gives each design factor's form at
-    (p, q) over q**deg, so written at its row's width w it is the factor's
-    homogeneous Horner value times q**(w - deg): at every default grid point
-    and at the packed Budan point."""
+    """Each key's degree w, at least the largest of its design factors'
+    degrees, is its walk's: at every default grid point and at the packed
+    Budan point, the walk on (p**mult, q**mult) gives every factor's
+    homogeneous Horner value there, written at degree w: the form times
+    q**(w - deg) over q**w."""
     fam = family_by_name(name)
-    r = fam.size
-    candidates = enumerate_assignments(fam, r)
-    keys, degrees, _ = search._factor_table([_kernel_groups(a, fam) for a in candidates], r)
+    candidates = enumerate_assignments(fam, fam.size)
+    keys, degrees, _ = search._factor_table([_kernel_groups(a, fam) for a in candidates])
     _, bits, _, _ = packed_column(fam)
     points = [(g.numerator, g.denominator) for g in DEFAULT_GRID] + [(1, 1 + (1 << bits))]
-    for (kern, mult), row in zip(keys, degrees):
-        factors = [_design_factor(kern, mult, k) for k in range(r)]
-        w = max(f.degree for f in factors)
-        assert row == [f.degree for f in factors] and max(row) == w
+    for (kern, mult), w in zip(keys, degrees):
+        factors = _design_factor(kern, mult)
+        assert w >= max(f.degree for f in factors)
         for p, q in points:
-            for k, f in enumerate(factors):
-                n, d = patterns._factor(kern, p**mult, q**mult, k, mult == 1)
-                assert d == q**f.degree
-                assert n * q**w // d == f.horner(p, q) * q ** (w - f.degree)
+            nums, d = patterns._factor(kern, p**mult, q**mult, mult == 1)
+            assert d == q**w
+            assert nums == [f.horner(p, q) * q ** (w - f.degree) for f in factors]
 
 
 def packed_column(family, extra_bits=0):
@@ -256,8 +251,7 @@ def packed_column(family, extra_bits=0):
     and every candidate's packed integer."""
     r = family.size
     candidates = enumerate_assignments(family, r)
-    keys, degrees, members = search._factor_table(
-        [_kernel_groups(a, family) for a in candidates], r)
+    keys, degrees, members = search._factor_table([_kernel_groups(a, family) for a in candidates])
     _, top = search._grid_capacities(keys, degrees, members, r, [])
     bits = search._slot_bits(r, top) + extra_bits
     [packed], _ = search._grid_capacities(keys, degrees, members, r, [(1, 1 + (1 << bits))])
