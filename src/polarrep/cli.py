@@ -159,7 +159,8 @@ def cmd_search(args) -> tuple[dict | list, int]:
     report = best_assignment(family, grid=_grid(args), certify=not args.no_certify)
     if args.format == "csv":
         rows = [["assignment"] + [f"eps={g}" for g in report.grid]]
-        rows += [[a.label()] + [_decimal(c) for c in caps] for a, caps in report.ranking]
+        cells = report._cells(lambda n, d: _decimal(n / d))  # n / d rounds as float(Fraction) does
+        rows += [[a.label(), *caps] for (a, _), caps in zip(report.ranking, cells)]
         return rows, 0
     return {"command": "search", **report.to_json_dict()}, 0
 

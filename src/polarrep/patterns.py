@@ -245,7 +245,10 @@ def _factor(kern: Kernel, n, d, lone: bool) -> tuple[list, object]:
     nodes of one depth share the denominator: with z = n/d a lone block's
     level gives n(d**2 + nd - n**2), n**2 d and, under a plain node, n d**2
     over d**3, a merged group's n(2d - n), n**2 and n d over d**2; a level
-    with no polarizing node changes nothing."""
+    with no polarizing node changes nothing, so a kernel with none returns
+    its seed at every sub-codeword without a walk."""
+    if _plain(kern):
+        return [n] * kern.size, d
     nodes, nums = [kern], [n]
     while nodes[0].a is not None:
         polar = [node.e for node in nodes]
@@ -265,6 +268,13 @@ def _factor(kern: Kernel, n, d, lone: bool) -> tuple[list, object]:
             nums = [x for n in nums for x in (n, n)]
         nodes = [half for node in nodes for half in (node.a, node.b)]
     return nums, d
+
+
+def _plain(kern: Kernel) -> bool:
+    """Whether no node of the tree polarizes; a half that is one object on
+    both sides, as in every regular member, is read once."""
+    return kern.a is None or not kern.e and _plain(kern.a) and (
+        kern.b is kern.a or _plain(kern.b))
 
 
 def design_erasures(groups: tuple[tuple[Kernel, int], ...], eps) -> tuple[list[int], int]:

@@ -6,30 +6,31 @@ exactly on a grid of erasure probabilities: the design factor walk
 ``patterns._factor`` runs on integers once per (kernel, multiplicity) and
 grid point, giving every sub-codeword's factor over one denominator, and
 every candidate's capacity there is an integer numerator over the point's
-one denominator.  Maxima, grid wins and
-the ranking's order are read from these integers; ``Fraction``s are built
-only for the report.  The winner is the assignment that maximizes capacity
-at every grid point simultaneously when such an assignment exists, and
-otherwise the one winning the most grid points.  A dominance certificate
-against every other candidate can be requested on top, by Budan's 0-1 test
-on each difference.  Its transform (1 + x)**D H(1/(1 + x)) is the
-numerator's form at (1, 1 + x), so the same walk at x = 2**bits packs every
-candidate's coefficients in signed slots, and a difference whose slots do
-not hold both signs has no root in (0, 1).  Only otherwise are polynomials
-built (``proofcheck.certify_dominance`` decides by a Sturm count), so a
-search loads no polynomial module unless a certificate falls back.
+one denominator.  Maxima, grid wins and the ranking's order are read from
+these integers, and the report keeps them: a document reduces each cell by
+one gcd, and ``Fraction``s are built only when a caller asks for them.  The
+winner is the assignment that maximizes capacity at every grid point
+simultaneously when such an assignment exists, and otherwise the one
+winning the most grid points.  A dominance certificate against every other
+candidate can be requested on top, by Budan's 0-1 test on each difference.
+Its transform (1 + x)**D H(1/(1 + x)) is the numerator's form at (1, 1 + x),
+so the same walk at x = 2**bits packs every candidate's coefficients in
+signed slots, and a difference whose slots do not hold both signs has no
+root in (0, 1).  Only otherwise are polynomials built
+(``proofcheck.certify_dominance`` decides by a Sturm count), so a search
+loads no polynomial module unless a certificate falls back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, lcm, prod
-from operator import itemgetter, mul
-from typing import NamedTuple
+from itertools import combinations_with_replacement, groupby
+from math import comb, gcd, lcm, prod
+from operator import eq, itemgetter, mul
+from typing import Callable, NamedTuple
 
 from . import DEFAULT_GRID, _check_grid, _exact  # defined by the package, read by the command line
-from .patterns import Kernel, PatternAssignment, PatternFamily, _factor, _kernel_groups
+from .patterns import Kernel, PatternAssignment, PatternFamily, _factor
 
 #: Largest candidate count a search enumerates: reg8 (6,435) fits, reg16
 #: (300,540,195) would not fit in memory.
@@ -37,17 +38,37 @@ MAX_CANDIDATES = 100_000
 
 
 class SearchReport(NamedTuple):
+    """A search's outcome.  Each ranking entry pairs an assignment with its
+    capacity numerators, one per grid point, over that point's one
+    denominator r**2 q**D in ``denominators``, so capacities at one point
+    compare as integers; ``exact_ranking()`` gives them as ``Fraction``s."""
+
     family_kind: str
     r: int
     grid: tuple[Fraction, ...]
+    denominators: tuple[int, ...]
     candidates_evaluated: int
-    ranking: tuple[tuple[PatternAssignment, tuple[Fraction, ...]], ...]
+    ranking: tuple[tuple[PatternAssignment, tuple[int, ...]], ...]
     best: PatternAssignment
     dominance_certified: bool = False
 
+    def _cells(self, cell: Callable[[int, int], object]) -> list:
+        """``cell(numerator, denominator)`` of every capacity, one list per
+        ranking entry; candidates with equal capacities share one row, and
+        one list."""
+        dens = self.denominators
+        done: dict[int, list] = {}
+        return [
+            done.get(id(row)) or done.setdefault(id(row), list(map(cell, row, dens)))
+            for _, row in self.ranking
+        ]
+
+    def exact_ranking(self) -> tuple[tuple[PatternAssignment, tuple[Fraction, ...]], ...]:
+        """The ranking with every capacity an exact ``Fraction``, built on
+        each call."""
+        return tuple((a, tuple(map(Fraction, row, self.denominators))) for a, row in self.ranking)
+
     def to_json_dict(self) -> dict:
-        # Candidates with equal capacities share one tuple, and one string list.
-        strings: dict[int, list[str]] = {}
         return {
             "family": self.family_kind,
             "r": self.r,
@@ -56,18 +77,21 @@ class SearchReport(NamedTuple):
             "best": list(self.best.indices),
             "dominance_certified": self.dominance_certified,
             "ranking": [
-                {
-                    "assignment": list(a.indices),
-                    "capacities": strings.get(id(caps)) or strings.setdefault(
-                        id(caps), [_exact(c) for c in caps]),
-                }
-                for a, caps in self.ranking
+                {"assignment": list(a.indices), "capacities": caps}
+                for (a, _), caps in zip(self.ranking, self._cells(_reduced))
             ],
         }
 
 
-def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignment]:
-    """All multisets of size r over the family indices, lexicographic.
+def _reduced(n: int, d: int) -> str:
+    """Fraction(n, d) as ``polarrep._exact`` prints it, reduced by one gcd."""
+    g = gcd(n, d)
+    return _exact(n // g, d // g)
+
+
+def _index_tuples(family: PatternFamily, r: int) -> list[tuple[int, ...]]:
+    """All multisets of size r over the family indices, as sorted index
+    tuples in lexicographic order.
 
     Refuses, before listing any, more than MAX_CANDIDATES multisets.
     """
@@ -76,19 +100,40 @@ def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignme
     count = comb(len(family) + r - 1, r)
     if count > MAX_CANDIDATES:
         raise ValueError(f"{count} candidate assignments exceed the limit of {MAX_CANDIDATES}")
-    return [
-        PatternAssignment(indices)
-        for indices in combinations_with_replacement(range(len(family)), r)
-    ]
+    return list(combinations_with_replacement(range(len(family)), r))
 
 
-def _factor_table(groups: list[tuple[tuple[Kernel, int], ...]]) -> tuple:
+def enumerate_assignments(family: PatternFamily, r: int) -> list[PatternAssignment]:
+    """All multisets of size r over the family indices, lexicographic.
+
+    Refuses, before listing any, more than MAX_CANDIDATES multisets.
+    """
+    return [PatternAssignment(t) for t in _index_tuples(family, r)]
+
+
+def _index_groups(
+    family: PatternFamily, tuples: list[tuple[int, ...]]
+) -> list[tuple[tuple[int, int], ...]]:
+    """Each candidate's kernel groups as (member index, blocks) pairs, read
+    off its sorted index tuple.  An index names the first member equal to
+    its kernel, so equal members make one group, as in
+    ``patterns._kernel_groups``."""
+    first: dict[Kernel, int] = {}
+    canonical = [first.setdefault(kern, i) for i, kern in enumerate(family.members)]
+    if len(first) < len(family):
+        tuples = [sorted(map(canonical.__getitem__, t)) for t in tuples]
+    return [tuple((i, len(list(run))) for i, run in groupby(t)) for t in tuples]
+
+
+def _factor_table(groups: list[tuple], kernels: tuple[Kernel, ...] | None = None) -> tuple:
     """The distinct (kernel, multiplicity) keys, each key's degree (its walk
     at (0, 2**mult) ends over 2**degree), and each candidate's rows: its
-    erasure at sub-codeword k is the product of entry k over them."""
-    position: dict[tuple[Kernel, int], int] = {}
+    erasure at sub-codeword k is the product of entry k over them.  A group
+    names its kernel, or, when ``kernels`` are given, its index there, which
+    hashes faster than a kernel tree."""
+    position: dict[tuple, int] = {}
     members = [[position.setdefault(key, len(position)) for key in g] for g in groups]
-    keys = list(position)
+    keys = list(position) if kernels is None else [(kernels[i], mult) for i, mult in position]
     degrees = [_factor(kern, 0, 1 << mult, mult == 1)[1].bit_length() - 1 for kern, mult in keys]
     return keys, degrees, members
 
@@ -175,34 +220,47 @@ def best_assignment(
 ) -> SearchReport:
     """Exhaustive capacity search over all assignments of r = ``family.size`` blocks.
 
-    Ties on grid wins break toward the lexicographically smallest canonical
-    multiset, so reports are reproducible.  ``certify`` asks for the
-    dominance certificate against every other candidate.  It is attempted
-    only when the winner maximizes capacity at every grid point: otherwise
-    some difference is negative at a grid point, so it is negative at the
-    sample or has a root in (0, 1), and the certificate is refuted anyway.
+    Each grid point is read once as an exact ``Fraction``, a float by its
+    decimal text, as ``codec.erasure_probability`` reads it.  Ties on grid
+    wins break toward the lexicographically smallest canonical multiset, so
+    reports are reproducible.  ``certify`` asks for the dominance
+    certificate against every other candidate.  It is attempted only when
+    the winner maximizes capacity at every grid point: otherwise some
+    difference is negative at a grid point, so it is negative at the sample
+    or has a root in (0, 1), and the certificate is refuted anyway.
     """
     r = family.size
+    grid = tuple(Fraction(str(g)) if isinstance(g, float) else Fraction(g) for g in grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     _check_grid(grid)
 
-    candidates = enumerate_assignments(family, r)
-    assert len(candidates) == comb(len(family) + r - 1, r)
-    keys, degrees, members = _factor_table([_kernel_groups(a, family) for a in candidates])
-    points = [(x.numerator, x.denominator) for x in map(Fraction, grid)]
+    tuples = _index_tuples(family, r)
+    keys, degrees, members = _factor_table(_index_groups(family, tuples), family.members)
+    points = [(g.numerator, g.denominator) for g in grid]
     columns, top = _grid_capacities(keys, degrees, members, r, points)
-    numerators = list(zip(*columns))
-    denominators = [r * r * q**top for _, q in points]
+    denominators = tuple(r * r * q**top for _, q in points)
 
+    # Candidates with equal numerators share one row, whose wins and rank
+    # key are read once.  The rank key is the sum of the row's capacities
+    # times r**2 * Q**D, Q the lcm of the grid denominators: an integer.
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    numerators = [rows.setdefault(row, row) for row in zip(*columns)]
     per_point_max = [max(column) for column in columns]
-    wins = [sum(c == m for c, m in zip(caps, per_point_max)) for caps in numerators]
-    # A dominant candidate wins every point, so it is preferred when one exists.
-    best_i = min(range(len(candidates)), key=lambda i: (-wins[i], candidates[i].indices))
+    q_lcm = lcm(*denominators)
+    weights = [q_lcm // d for d in denominators]
+    wins = {row: sum(map(eq, row, per_point_max)) for row in rows}
+    total = {row: sum(map(mul, row, weights)) for row in rows}
+    # Candidates are listed in lexicographic order, and the first maximum
+    # and a stable sort keep it among ties.  A dominant candidate wins every
+    # point, so it is preferred when one exists.
+    best_i = max(range(len(tuples)), key=lambda i: wins[numerators[i]])
+    order = sorted(range(len(tuples)), key=lambda i: -total[numerators[i]])
+    candidates = [PatternAssignment(t) for t in tuples]
     best = candidates[best_i]
 
     certified = False
-    if certify and wins[best_i] == len(grid):
+    if certify and wins[numerators[best_i]] == len(grid):
         # At (1, 1 + x) each numerator is its Budan transform (1 + x)**D C(1/(1 + x)):
         # with x = 2**bits, one more column packs every candidate's coefficients.
         bits = _slot_bits(r, top)
@@ -214,15 +272,5 @@ def best_assignment(
             if i != best_i
         )
 
-    # The sum of a candidate's capacities times r**2 * Q**D, Q the lcm of
-    # the grid denominators: an integer, so the ranking needs no Fraction.
-    q_lcm = lcm(*denominators)
-    weights = [q_lcm // d for d in denominators]
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (-sum(map(mul, numerators[i], weights)), candidates[i].indices),
-    )
-    # Candidates with equal numerators share one tuple of capacities.
-    capacities = {row: tuple(map(Fraction, row, denominators)) for row in set(numerators)}
-    ranking = tuple((candidates[i], capacities[numerators[i]]) for i in order)
-    return SearchReport(family.kind, r, tuple(grid), len(candidates), ranking, best, certified)
+    ranking = tuple((candidates[i], numerators[i]) for i in order)
+    return SearchReport(family.kind, r, grid, denominators, len(tuples), ranking, best, certified)

@@ -702,6 +702,45 @@ def test_search_json_document(capsys, family, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
+#: sha256 of two more ``search --reproducible`` JSON documents, recorded
+#: while the report still held one Fraction per capacity: reg8 ranks 6,435
+#: candidates, and irr4 on a grid of mixed denominators reduces each cell by
+#: its own gcd.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--family", "reg8", "--no-certify"],
+         "13a79cfb8c310b0b5193ecc610cbef1cb783260116509698bf10972748bfde31"),
+        (["--family", "irr4", "--grid", "1/3,2/7,0.45,19/20"],
+         "6c4a42cc381b6ab64d16fce01a5a77344c8c1bf0e3c0cddeaefc7b7f2808918b"),
+    ],
+    ids=["reg8", "irr4-mixed-grid"],
+)
+def test_search_json_pins(capsys, argv, digest):
+    code, out = run(capsys, "search", *argv, "--reproducible")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_search_builds_no_fraction_per_cell(monkeypatch, capsys, fmt):
+    """irr4 has 4,047 distinct capacity cells; its search document builds no
+    Fraction for any of them, only the grid's own."""
+    args = cli.build_parser().parse_args(["search", "--family", "irr4", "--format", fmt])
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    payload, code = cli.cmd_search(args)
+    monkeypatch.undo()
+    ranking = payload[1:] if fmt == "csv" else payload["ranking"]
+    assert code == 0 and len(ranking) == 330
+    assert len(built) <= len(DEFAULT_GRID)
+
+
 #: sha256 of ``simulate --reproducible --format csv`` (64 trials), recorded
 #: when the design ranked the runs of equal floats separately: irr4 at m=10
 #: then took its floats from the exact ratios, m=12 and m=15 from the

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from polarrep import patterns
 from polarrep.patterns import (
     G2,
     I2,
@@ -129,6 +130,24 @@ def test_all_members_valid():
                 assert row[i] == 1
                 assert all(v == 0 for v in row[i + 1 :])
                 assert set(row) <= {0, 1}
+
+
+@pytest.mark.parametrize("lone", [True, False])
+@pytest.mark.parametrize("t", range(1, 6))
+def test_plain_kernel_factor_is_its_seed(t, lone):
+    """The identity member, in which no node polarizes, gives its seed at
+    every sub-codeword over the seed's denominator."""
+    identity = regular_family(t)[-1]
+    assert patterns._factor(identity, 3, 20, lone) == ([3] * 2**t, 20)
+
+
+@pytest.mark.parametrize("lone", [True, False])
+def test_plain_kernel_shortcut_matches_walk(monkeypatch, lone):
+    """Every member of reg2 .. reg32 and irr4 gives what the full walk gives."""
+    members = [k for t in range(1, 6) for k in regular_family(t)] + list(irregular_family_r4())
+    shortcut = [patterns._factor(k, 3, 20, lone) for k in members]
+    monkeypatch.setattr(patterns, "_plain", lambda kern: False)
+    assert shortcut == [patterns._factor(k, 3, 20, lone) for k in members]
 
 
 def test_apply_kernel_pins():

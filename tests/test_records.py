@@ -32,7 +32,8 @@ RECORDS = {
                         "r difference_poly endpoint_values interior_sample roots_in_open_unit "
                         "verdict method budan_variations sturm_chain"),
     "SearchReport": (lambda: best_assignment(REG2),
-                     "family_kind r grid candidates_evaluated ranking best dominance_certified"),
+                     "family_kind r grid denominators candidates_evaluated ranking best "
+                     "dominance_certified"),
     "CodeSpec": (_spec, "m t family assignment design_eps k frozen design_floats"),
     "SimReport": (lambda: monte_carlo(_spec(), F(1, 2), 64, seed=3),
                   "spec eps trials seed per_bit_rates block_error_rate operations "

@@ -125,6 +125,18 @@ def test_repeated_grid_point_refused(grid):
                            certify=False).best == PatternAssignment([0, 3, 3, 3])
 
 
+def test_float_grid_point_read_by_its_decimal_text():
+    """A float point is the rational its decimal text names, in the grid and
+    in every capacity, so 0.1 repeats 1/10."""
+    reg2 = family_by_name("reg2")
+    report = best_assignment(reg2, grid=(0.1,))
+    assert report == best_assignment(reg2, grid=(F(1, 10),))
+    assert report.grid == (F(1, 10),)
+    assert report.exact_ranking()[0][1] == (F(19881, 40000),)
+    with pytest.raises(ValueError, match="repeated"):
+        best_assignment(reg2, grid=(F(1, 10), 0.1))
+
+
 def test_report_serialization():
     report = best_assignment(family_by_name("reg2"))
     d = report.to_json_dict()
@@ -137,9 +149,11 @@ def test_default_grid():
     assert DEFAULT_GRID == tuple(F(i, 20) for i in range(1, 20))
 
 
-def reference_search(family, grid, certify):
+def reference_ranking(family, grid, certify):
     """The search from every candidate's capacity polynomial, evaluated as
-    Fractions: an independent check of the integer grid ranking."""
+    Fractions: an independent check of the integer grid ranking.  Returns
+    the report's fields but its denominators, each ranking entry with its
+    capacities as Fractions."""
     evaluated = []
     for a in enumerate_assignments(family, family.size):
         channels = assignment_erasures(a, family)
@@ -155,7 +169,7 @@ def reference_search(family, grid, certify):
     ranking = tuple(
         (a, caps) for a, _, caps in sorted(evaluated, key=lambda e: (-sum(e[2]), e[0].indices))
     )
-    return SearchReport(
+    return dict(
         family_kind=family.kind,
         r=family.size,
         grid=grid,
@@ -166,13 +180,35 @@ def reference_search(family, grid, certify):
     )
 
 
+def reference_search(family, grid, certify):
+    """``reference_ranking`` as a report: each capacity written over its
+    point's denominator r**2 q**D, D the degree the search's factor walks
+    share, where it must be an integer."""
+    fields = reference_ranking(family, grid, certify)
+    r = family.size
+    candidates = enumerate_assignments(family, r)
+    keys, degrees, members = search._factor_table([_kernel_groups(a, family) for a in candidates])
+    _, top = search._grid_capacities(keys, degrees, members, r, [])
+    denominators = tuple(r * r * g.denominator**top for g in grid)
+    ranking = []
+    for a, caps in fields["ranking"]:
+        scaled = [c * d for c, d in zip(caps, denominators)]
+        assert all(x.denominator == 1 for x in scaled)
+        ranking.append((a, tuple(map(int, scaled))))
+    return SearchReport(**{**fields, "ranking": tuple(ranking)}, denominators=denominators)
+
+
 @pytest.mark.parametrize("name", ["reg2", "reg4", "irr4"])
 @pytest.mark.parametrize("grid", [DEFAULT_GRID, MIXED_GRID], ids=["default", "mixed"])
 @pytest.mark.parametrize("certify", [True, False])
 def test_matches_fraction_reference(name, grid, certify):
     fam = family_by_name(name)
     report = best_assignment(fam, grid=grid, certify=certify)
-    assert report == reference_search(fam, grid, certify)
+    # Every field but the denominators, with the accessor's exact Fractions
+    # compared with the polynomials' values, value for value.
+    exact = report._replace(ranking=report.exact_ranking())._asdict()
+    del exact["denominators"]
+    assert exact == reference_ranking(fam, grid, certify)
     # reg4 has no dominant winner on the default grid, irr4 has one.
     if grid == DEFAULT_GRID and certify:
         assert report.dominance_certified == (name != "reg4")
